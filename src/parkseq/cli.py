@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, cycle, islice, product
 from typing import Iterable, Iterator
@@ -63,7 +64,6 @@ class RunConfig:
     do_enumerate: bool = False
     budget: int = DEFAULT_BUDGET
     force: bool = False
-    workers: int = 1
     suite: str = "all"
     ground: tuple[int, ...] | None = None
     randomized: bool = False
@@ -83,8 +83,6 @@ class RunConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -175,7 +173,7 @@ def cmd_count(cfg: RunConfig) -> int:
         _emit(cfg, [record], [str(formula)], COUNT_COLUMNS)
         return EXIT_OK
     budget = None if cfg.force else cfg.budget
-    report = count_report(cfg.sizes, cfg.z, budget=budget, workers=cfg.workers)
+    report = count_report(cfg.sizes, cfg.z, budget=budget)
     record.update(
         enumerated=report.enumerated,
         match=report.match,
@@ -305,6 +303,25 @@ def cmd_table(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _exact_int_text() -> Iterator[None]:
+    """Let integers of any length be written out while a subcommand runs.
+
+    Exact answers pass the interpreter's limit on int-to-str conversion
+    (4,300 digits by default) easily; the caller's limit is put back after.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters older than the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parkseq",
@@ -330,8 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--budget", type=int, default=None,
                          help=f"enumeration guard (default {DEFAULT_BUDGET} or $PARKSEQ_BUDGET)")
     p_count.add_argument("--force", action="store_true", help="enumerate past the budget")
-    p_count.add_argument("--workers", type=int, default=1,
-                         help="shard enumeration by first preference")
 
     p_verify = sub.add_parser("verify", parents=[common], help="verify counting identities")
     p_verify.add_argument("suite", choices=SUITES)
@@ -388,8 +403,16 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         cfg = _config_from(args)
-        return _DISPATCH[cfg.subcommand](cfg)
-    except (ValueError, EnumerationBudgetError) as exc:
+        with _exact_int_text():
+            return _DISPATCH[cfg.subcommand](cfg)
+    except EnumerationBudgetError as exc:
+        print(
+            f"error: {exc}; raise it with --budget N or PARKSEQ_BUDGET=N,"
+            " or lift it with --force",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,6 +6,9 @@ trailer.  Cars arrive one at a time in index order; car ``i`` drives to its
 preferred spot ``c_i``, rolls forward to the first empty spot ``j >= c_i``,
 and parks there iff the whole block ``j .. j + y_i - 1`` exists and is empty.
 A preference tuple under which every car parks is a parking sequence.
+
+The brute-force oracle in `counting` applies the same rule on a bare
+occupancy row; tests hold it to `simulate_parking`.
 """
 
 from __future__ import annotations
@@ -218,33 +221,3 @@ def simulate_parking(sizes: SizesLike, z: int, prefs: PrefsLike) -> ParkingOutco
 def is_parking_sequence(sizes: SizesLike, z: int, prefs: PrefsLike) -> bool:
     """True iff the attempt returns ``Parked``."""
     return isinstance(simulate_parking(sizes, z, prefs), Parked)
-
-
-def _occupancy_template(z: int, m: int) -> bytearray:
-    """Occupancy row for `_parks_into`: spot k is ``occ[k]``, ``occ[0]`` is a
-    permanently occupied sentinel so byte searches never land on it."""
-    occ = bytearray(m + 1)
-    occ[0] = 1
-    for k in range(1, z):
-        occ[k] = 1
-    return occ
-
-def _parks_into(sizes: Sequence[int], prefs: Sequence[int], m: int, occ: bytearray) -> bool:
-    """Greedy rule on a scratch occupancy row, success/failure only.
-
-    ``occ`` must be a fresh copy of an `_occupancy_template` row; it is
-    consumed by the call.  This is the enumeration hot path: same semantics
-    as `simulate_parking`, no outcome objects.
-    """
-    for y, c in zip(sizes, prefs):
-        j = occ.find(0, c)
-        if j < 0:
-            return False
-        end = j + y
-        if end > m + 1:
-            return False
-        if y > 1 and occ.find(1, j + 1, end) >= 0:
-            return False
-        for k in range(j, end):
-            occ[k] = 1
-    return True

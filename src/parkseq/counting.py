@@ -8,12 +8,10 @@ integers; the product grows too fast for anything else.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import CarSizeVector, SizesLike, _occupancy_template, _parks_into, as_car_sizes
+from .core import CarSizeVector, SizesLike, as_car_sizes
 
 DEFAULT_BUDGET = 10**8
 PARTITION_LIMIT = 30
@@ -66,7 +64,10 @@ class CountReport:
 
     ``enumerated`` is the independent route (brute force, or the
     decomposition sum); ``formula`` is the closed-form product;
-    ``tuples_scanned`` is how many candidates the independent route visited.
+    ``tuples_scanned`` is how many candidates the independent route accounted
+    for: every one of the ``m**n`` preference tuples for brute force, even
+    those a failed prefix decides together, and the number of splits for the
+    recurrence.
     """
 
     enumerated: int
@@ -126,71 +127,69 @@ def count_no_trailer(sizes: SizesLike) -> int:
     return total
 
 
-def _count_range(
-    sizes: tuple[int, ...], z: int, m: int, firsts: tuple[int, ...]
-) -> tuple[int, int]:
-    """Count parking sequences whose first preference lies in ``firsts``.
+def _search(sizes: tuple[int, ...], z: int, m: int) -> tuple[int, int]:
+    """Count parking sequences by a depth-first search over the cars.
 
-    Returns (parked, scanned).  Odometer order: the last coordinate moves
-    fastest.  Runs in a worker process when enumeration is sharded.
+    Returns (parked, scanned).  One occupancy row is shared down the search;
+    each car's block is filled before descending and cleared on the way back.
+    Every preference that rolls forward to the same empty spot ``j`` leaves
+    the same row, so car ``k`` takes one branch per empty spot, weighted by
+    the gap back to the previous empty spot.  Preferences past the last empty
+    spot, and blocks that overflow or collide, fail together: they account
+    for ``m**(cars still to come)`` tuples each without being expanded.  The
+    last car's successes are summed without descending.
     """
-    n = len(sizes)
-    template = _occupancy_template(z, m)
-    occ = bytearray(template)
-    parked = 0
-    scanned = 0
-    rest = [range(1, m + 1)] * (n - 1)
-    for prefs in itertools.product(firsts, *rest):
-        scanned += 1
-        occ[:] = template
-        if _parks_into(sizes, prefs, m, occ):
-            parked += 1
-    return parked, scanned
-
-
-def _split_evenly(items: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    q, r = divmod(len(items), k)
-    parts = []
-    start = 0
-    for idx in range(k):
-        size = q + (1 if idx < r else 0)
-        if size:
-            parts.append(items[start : start + size])
-        start += size
-    return parts
-
-
-def _enumerate(sizes: tuple[int, ...], z: int, m: int, workers: int) -> tuple[int, int]:
     n = len(sizes)
     if n == 0:
         return 1, 1  # the empty tuple parks
-    firsts = tuple(range(1, m + 1))
-    if workers <= 1:
-        return _count_range(sizes, z, m, firsts)
-    parts = _split_evenly(firsts, min(workers, m))
-    with ProcessPoolExecutor(max_workers=len(parts)) as pool:
-        futures = [pool.submit(_count_range, sizes, z, m, part) for part in parts]
-        results = [f.result() for f in futures]
-    return sum(r[0] for r in results), sum(r[1] for r in results)
+    occ = bytearray(m + 1)  # spot k is occ[k]; occ[0] is never read
+    occ[1:z] = b"\x01" * (z - 1)
+    fill = [b"\x01" * y for y in sizes]
+    clear = [bytes(y) for y in sizes]
+    failed_weight = [m ** (n - k - 1) for k in range(n)]
+    last = n - 1
+
+    def descend(k: int) -> tuple[int, int]:
+        """(parked, scanned) over every preference tail for cars k..n-1."""
+        y = sizes[k]
+        parked = scanned = 0
+        fitted = 0  # preferences under which car k parks
+        prev = 0
+        j = occ.find(0, 1)
+        while j >= 0:
+            end = j + y
+            if end <= m + 1 and (y == 1 or occ.find(1, j + 1, end) < 0):
+                gap = j - prev
+                fitted += gap
+                if k != last:
+                    occ[j:end] = fill[k]
+                    sub_parked, sub_scanned = descend(k + 1)
+                    occ[j:end] = clear[k]
+                    parked += gap * sub_parked
+                    scanned += gap * sub_scanned
+            prev = j
+            j = occ.find(0, j + 1)
+        if k == last:
+            return fitted, m
+        return parked, scanned + (m - fitted) * failed_weight[k]
+
+    return descend(0)
 
 
-def count_by_enumeration(
-    sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET, workers: int = 1
-) -> int:
-    """Brute-force oracle: try every preference tuple in ``[1, m]^n``.
+def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET) -> int:
+    """Brute-force oracle: decide every preference tuple in ``[1, m]^n``.
 
-    Visits the full preference space in odometer order and counts the tuples
-    under which every car parks.  Refuses to start when ``m**n`` exceeds
-    ``budget`` (pass ``budget=None`` to lift the guard).  ``workers > 1``
-    shards the space by first preference; each worker owns a disjoint
-    sub-range and the shard counts are summed.
+    Applies the greedy rule to the real lot, one car at a time, and never
+    consults the closed form.  Tuples that share a prefix share its
+    simulation, and a prefix that fails decides all of its tuples at once, so
+    the cost follows the parking prefixes rather than ``m**n``; every tuple is
+    still accounted for.  Refuses to start when ``m**n`` exceeds ``budget``
+    (pass ``budget=None`` to lift the guard).
     """
-    return count_report(sizes, z, budget=budget, workers=workers).enumerated
+    return count_report(sizes, z, budget=budget).enumerated
 
 
-def count_report(
-    sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET, workers: int = 1
-) -> CountReport:
+def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET) -> CountReport:
     """Run the enumeration oracle and compare it with the closed form."""
     cars = as_car_sizes(sizes)
     _check_z(z)
@@ -199,7 +198,7 @@ def count_report(
     total = m**n
     if budget is not None and total > budget:
         raise EnumerationBudgetError(m, n, total, budget)
-    parked, scanned = _enumerate(cars.sizes, z, m, workers)
+    parked, scanned = _search(cars.sizes, z, m)
     return CountReport.compare(parked, count_by_formula(cars, z), scanned)
 
 

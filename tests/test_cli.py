@@ -1,9 +1,14 @@
 """Command-line behaviour: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parkseq
 from parkseq.cli import main
 from parkseq.counting import count_by_formula
 
@@ -12,6 +17,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of ``n >= 0`` in chunks short enough for ``str``."""
+    chunk = 10**1000
+    parts = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(parts))
 
 
 class TestPark:
@@ -119,11 +134,14 @@ class TestCount:
         }
 
     def test_budget_flag_blocks_enumeration(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "10"
         )
         assert code == 2
         assert "512" in err
+        for hint in ("--budget", "PARKSEQ_BUDGET", "--force"):
+            assert hint in err
+        assert out == ""
 
     def test_force_overrides_budget(self, capsys):
         code, out, _ = run_cli(
@@ -147,6 +165,29 @@ class TestCount:
         )
         assert code == 0
         assert "match=true" in out
+
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["plain", "json", "tsv"])
+    def test_answer_longer_than_int_digit_limit(self, capsys, fmt):
+        sizes = (3,) * 3000
+        digits = _decimal(count_by_formula(sizes, 5))
+        assert len(digits) > 4300
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "count", "--sizes", ",".join(map(str, sizes)), "--z", "5", "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        expected = {
+            "plain": f"{digits}\n",
+            "json": f'{{"sizes": [{", ".join(["3"] * 3000)}], "z": 5, "formula": {digits}}}\n',
+            "tsv": "sizes\tz\tformula\tenumerated\tmatch\ttuples_scanned\n"
+            f"{','.join(['3'] * 3000)}\t5\t{digits}\t\t\t\n",
+        }
+        assert out == expected[fmt]
 
 
 class TestVerify:
@@ -267,3 +308,16 @@ def test_identical_flags_produce_identical_bytes(capsys):
 def test_bad_csv_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "count", "--sizes", "1,apple", "--z", "1")
     assert code == 2
+
+
+def test_import_loads_no_process_machinery():
+    probe = (
+        "import sys, parkseq.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(parkseq.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

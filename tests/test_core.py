@@ -12,8 +12,6 @@ from parkseq.core import (
     Parked,
     PreferenceVector,
     TrailerLot,
-    _occupancy_template,
-    _parks_into,
     is_parking_sequence,
     simulate_parking,
 )
@@ -161,15 +159,6 @@ def test_no_spot_overflow_is_monotone_in_preference(data):
     bumped = data.draw(st.integers(prefs[i - 1], m))
     mutated = prefs[: i - 1] + (bumped,) + prefs[i:]
     assert simulate_parking(sizes, z, mutated) == outcome
-
-
-@given(instances())
-def test_fast_path_agrees_with_simulator(case):
-    sizes, z, prefs = case
-    m = z - 1 + sum(sizes)
-    occ = bytearray(_occupancy_template(z, m))
-    fast = _parks_into(sizes, prefs, m, occ)
-    assert fast == isinstance(simulate_parking(sizes, z, prefs), Parked)
 
 
 def test_layout_spot_accessor_is_one_based():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkseq.core import is_parking_sequence
 from parkseq.counting import (
     CountReport,
     EnumerationBudgetError,
@@ -93,10 +94,18 @@ class TestEnumeration:
     def test_budget_none_lifts_guard(self):
         assert count_by_enumeration((2, 2, 1), 4, budget=None) == 288
 
-    def test_sharded_enumeration_matches_serial(self):
-        serial = count_report((2, 2, 1), 4, workers=1)
-        sharded = count_report((2, 2, 1), 4, workers=3)
-        assert sharded == serial
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 3), max_size=4).map(tuple), st.integers(1, 4))
+    def test_search_matches_literal_odometer(self, sizes, z):
+        """The prefix-sharing search against one simulation per tuple."""
+        m = z - 1 + sum(sizes)
+        parked = sum(
+            is_parking_sequence(sizes, z, prefs)
+            for prefs in itertools.product(range(1, m + 1), repeat=len(sizes))
+        )
+        report = count_report(sizes, z, budget=None)
+        assert report.enumerated == parked
+        assert report.tuples_scanned == m ** len(sizes)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 3), max_size=3).map(tuple), st.integers(1, 3))
