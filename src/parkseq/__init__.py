@@ -57,8 +57,6 @@ from .strehl import (
     s_value,
     t_poly,
     t_value,
-    x_upper_sum,
-    y_lower_sum,
 )
 
 __version__ = "0.1.0"
@@ -108,6 +106,4 @@ __all__ = [
     "s_value",
     "t_poly",
     "t_value",
-    "x_upper_sum",
-    "y_lower_sum",
 ]

@@ -8,6 +8,7 @@ integers; the product grows too fast for anything else.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -184,13 +185,19 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
     simulation, and a prefix that fails decides all of its tuples at once, so
     the cost follows the parking prefixes rather than ``m**n``; every tuple is
     still accounted for.  Refuses to start when ``m**n`` exceeds ``budget``
-    (pass ``budget=None`` to lift the guard).
+    (pass ``budget=None`` to lift the guard) or when the fleet is too long
+    for the recursive search (see ``count_report``).
     """
     return count_report(sizes, z, budget=budget).enumerated
 
 
 def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET) -> CountReport:
-    """Run the enumeration oracle and compare it with the closed form."""
+    """Run the enumeration oracle and compare it with the closed form.
+
+    The search recurses once per car, so fleets longer than half the
+    interpreter's recursion limit are refused with a ``ValueError`` before
+    it starts; the other half is left to the callers.
+    """
     cars = as_car_sizes(sizes)
     _check_z(z)
     m = z - 1 + cars.total
@@ -198,6 +205,12 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
     total = m**n
     if budget is not None and total > budget:
         raise EnumerationBudgetError(m, n, total, budget)
+    depth = sys.getrecursionlimit() // 2
+    if n > depth:
+        raise ValueError(
+            f"enumerating {n} cars needs a search {n} calls deep, past the limit of {depth}"
+            f" (half the interpreter's recursion limit of {sys.getrecursionlimit()})"
+        )
     parked, scanned = _search(cars.sizes, z, m)
     return CountReport.compare(parked, count_by_formula(cars, z), scanned)
 

@@ -1,17 +1,23 @@
 """Two families of multi-parameter polynomials and their convolution identities.
 
-For a finite index set A and a member a, write ``ylow(A, a)`` for the sum of
-y_j over j in A with j <= a, and ``xup(A, a)`` for the sum of x_{a,j} over
-j in A with j > a.  The binomial-type family multiplies the main variable by
-the linear forms ``z + ylow + xup`` over every member of A except its
-maximum; the Sheffer-type family takes the full product over A.  Setting all
-x and all y parameters to constants collapses both to the classical
-Abel--Rothe polynomials, and evaluating the binomial-type family at all
-x = 1 with y set to the car sizes reproduces the parking-sequence count.
+For a finite index set A, each member a of A has one linear form
+
+    z + (sum of y_j over j in A with j <= a) + (sum of x_{a,j} over j in A with j > a).
+
+The Sheffer-type family s_A is the product of the forms over every member of
+A; the binomial-type family t_A is the main variable times the product over
+every member except the maximum, and 1 on the empty set.  ``_factors`` is the
+one place the forms are written: expansion, exact values, the head factor
+and the specializations all multiply its factors, specialized before
+anything is expanded.  Setting all x and all y parameters to constants
+collapses both families to the classical Abel--Rothe polynomials, and
+evaluating t over {1..n} at all x = 1 with y set to the car sizes reproduces
+the parking-sequence count.
 
 Three identities connect the families:
 
-* ``easy``      — (z + ylow(A, max A)) * t_A(z)  ==  z * s_A(z)
+* ``easy``      — h_A(z) * t_A(z)  ==  z * s_A(z), where the head factor
+  h_A = z + (sum of y_j over A) is the last factor of s_A
 * ``sheffer``   — s_A(z+w)  ==  sum over splits L, R of A of s_L(z) * t_R(w)
 * ``binomial``  — t_A(z+w)  ==  sum over splits B, C of A of t_B(z) * t_C(w)
 
@@ -23,9 +29,11 @@ or probabilistically (exact big-integer evaluation at seeded random points).
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
-from typing import Iterable, Literal
+from itertools import combinations
+from typing import Iterable, Literal, Mapping
 
 from .core import SizesLike, as_car_sizes
 from .counting import IndexSet, partitions_into_two
@@ -49,45 +57,44 @@ def _as_index_set(A: IndexSet | Iterable[int]) -> IndexSet:
     return A if isinstance(A, IndexSet) else IndexSet(A)
 
 
-def x_upper_sum(A: IndexSet | Iterable[int], a: int) -> SparsePolynomial:
-    """Linear form summing x_{a,j} over the members j of A beyond a."""
-    A = _as_index_set(A)
-    if a not in A:
-        raise ValueError(f"{a} is not a member of {tuple(A)}")
-    return sum((poly(x_var(a, j)) for j in A if j > a), start=poly(0))
+def _factors(A: Iterable[int], family: str, at, y: Mapping, x: Mapping) -> list:
+    """The factors of the ``family`` ("t" or "s") member over A.
+
+    ``at`` stands in for the main variable, ``y[j]`` for y_j and ``x[a, j]``
+    for x_{a,j}; ints and polynomials work alike.  Member a contributes
+    ``at + sum(y[j] for j <= a) + sum(x[a, j] for j > a)``, with j running
+    over A; s takes every member, t takes ``at`` and every member but the
+    maximum.
+    """
+    later = list(A)  # the members after the current one
+    if family == "s":
+        factors, unformed = [], 0
+    elif later:
+        factors, unformed = [at], 1  # t has no form for the maximum
+    else:
+        return []
+    lower = at  # at plus the running sum of y[j] over the members up to a
+    while len(later) > unformed:
+        a = later.pop(0)
+        lower += y[a]
+        form = lower
+        for j in later:
+            form += x[a, j]
+        factors.append(form)
+    return factors
 
 
-def y_lower_sum(A: IndexSet | Iterable[int], a: int) -> SparsePolynomial:
-    """Linear form summing y_j over the members j of A up to and including a."""
-    A = _as_index_set(A)
-    if a not in A:
-        raise ValueError(f"{a} is not a member of {tuple(A)}")
-    return sum((poly(y_var(j)) for j in A if j <= a), start=poly(0))
-
-
-def _linear_form(A: IndexSet, a: int, zvar: Variable) -> SparsePolynomial:
-    form = poly(zvar)
-    for j in A:
-        form = form + (poly(y_var(j)) if j <= a else poly(x_var(a, j)))
-    return form
+def _symbols(A: IndexSet) -> tuple[dict, dict]:
+    """The y and x parameters over A as polynomials, keyed as ``_factors`` reads them."""
+    return (
+        {j: poly(y_var(j)) for j in A},
+        {(a, j): poly(x_var(a, j)) for a, j in combinations(A, 2)},
+    )
 
 
 @lru_cache(maxsize=None)
-def _t_poly_cached(A: IndexSet, zvar: Variable) -> SparsePolynomial:
-    if not A:
-        return poly(1)
-    result = poly(zvar)
-    for a in A[:-1]:
-        result = result * _linear_form(A, a, zvar)
-    return result
-
-
-@lru_cache(maxsize=None)
-def _s_poly_cached(A: IndexSet, zvar: Variable) -> SparsePolynomial:
-    result = poly(1)
-    for a in A:
-        result = result * _linear_form(A, a, zvar)
-    return result
+def _expand(A: IndexSet, family: str, zvar: Variable) -> SparsePolynomial:
+    return poly(math.prod(_factors(A, family, poly(zvar), *_symbols(A))))
 
 
 def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
@@ -96,12 +103,20 @@ def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
     ``zvar`` times the product of the linear forms over every member of A
     except the maximum; 1 on the empty set.
     """
-    return _t_poly_cached(_as_index_set(A), zvar)
+    return _expand(_as_index_set(A), "t", zvar)
 
 
 def s_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
     """Sheffer-type family member over A: the full product of linear forms."""
-    return _s_poly_cached(_as_index_set(A), zvar)
+    return _expand(_as_index_set(A), "s", zvar)
+
+
+def _check_identity(identity: str, A: IndexSet) -> None:
+    if identity == "easy":
+        if not A:
+            raise ValueError("the head-factor identity needs a nonempty ground set")
+    elif identity not in _IDENTITIES:
+        raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
 
 
 def identity_sides(
@@ -117,30 +132,21 @@ def identity_sides(
     ``budget`` to lift it deliberately.
     """
     A = _as_index_set(A)
+    _check_identity(identity, A)
+    z = poly(Z)
     if identity == "easy":
-        if not A:
-            raise ValueError("the head-factor identity needs a nonempty ground set")
-        lhs = (poly(Z) + y_lower_sum(A, max(A))) * t_poly(A)
-        rhs = poly(Z) * s_poly(A)
-        return lhs, rhs
-    if identity not in ("sheffer", "binomial"):
-        raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
+        head = _factors(A, "s", z, *_symbols(A))[-1]
+        return head * t_poly(A), z * s_poly(A)
     if len(A) > budget:
         raise ValueError(
             f"|A| = {len(A)} exceeds the symbolic expansion budget {budget};"
             " use random_identity_check instead"
         )
-    shifted = {Z: poly(Z) + poly(W)}
-    if identity == "sheffer":
-        lhs = s_poly(A).substitute(shifted)
-        rhs = poly(0)
-        for left, right in partitions_into_two(A):
-            rhs = rhs + s_poly(left) * t_poly(right, zvar=W)
-    else:
-        lhs = t_poly(A).substitute(shifted)
-        rhs = poly(0)
-        for left, right in partitions_into_two(A):
-            rhs = rhs + t_poly(left) * t_poly(right, zvar=W)
+    family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
+    lhs = poly(math.prod(_factors(A, family, z + poly(W), *_symbols(A))))
+    rhs = poly(0)
+    for left, right in partitions_into_two(A):
+        rhs = rhs + expand(left) * t_poly(right, zvar=W)
     return lhs, rhs
 
 
@@ -169,38 +175,16 @@ def check_binomial_convolution(
 def s_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:
     """Exact value of the Sheffer-type product at integer arguments.
 
-    ``at`` stands in for the main variable; no symbolic expansion happens,
-    so this is an independent route to the same number as
+    ``at`` stands in for the main variable; the integer factors are
+    multiplied without any symbolic expansion, giving the same number as
     ``s_poly(A).evaluate(...)``.
     """
-    members = tuple(A)
-    total = 1
-    for a in members:
-        acc = at
-        for j in members:
-            if j <= a:
-                acc += assignment.y_vals[j]
-            else:
-                acc += assignment.x_vals[(a, j)]
-        total *= acc
-    return total
+    return math.prod(_factors(A, "s", at, assignment.y_vals, assignment.x_vals))
 
 
 def t_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:
     """Exact value of the binomial-type product at integer arguments."""
-    members = tuple(A)
-    if not members:
-        return 1
-    total = at
-    for a in members[:-1]:
-        acc = at
-        for j in members:
-            if j <= a:
-                acc += assignment.y_vals[j]
-            else:
-                acc += assignment.x_vals[(a, j)]
-        total *= acc
-    return total
+    return math.prod(_factors(A, "t", at, assignment.y_vals, assignment.x_vals))
 
 
 def identity_value_sides(
@@ -217,37 +201,20 @@ def identity_value_sides(
     randomized check is shown to have teeth.
     """
     A = _as_index_set(A)
-    skip = None
+    _check_identity(identity, A)
+    z, w = assignment.z_val, assignment.w_val
+    if identity == "easy":
+        factors = _factors(A, "s", z, assignment.y_vals, assignment.x_vals)
+        return factors[-1] * t_value(A, assignment, z), z * math.prod(factors)
+    splits = partitions_into_two(A)
     if omit is not None:
         skip = (tuple(omit[0]), tuple(omit[1]))
-    if identity == "easy":
-        if not A:
-            raise ValueError("the head-factor identity needs a nonempty ground set")
-        head = assignment.z_val + sum(assignment.y_vals[j] for j in A)
-        return head * t_value(A, assignment, assignment.z_val), assignment.z_val * s_value(
-            A, assignment, assignment.z_val
-        )
-    if identity not in ("sheffer", "binomial"):
-        raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
-    at = assignment.z_val + assignment.w_val
+        splits = (split for split in splits if split != skip)
+    value = s_value if identity == "sheffer" else t_value
     rhs = 0
-    if identity == "sheffer":
-        lhs = s_value(A, assignment, at)
-        for left, right in partitions_into_two(A):
-            if skip is not None and (tuple(left), tuple(right)) == skip:
-                continue
-            rhs += s_value(left, assignment, assignment.z_val) * t_value(
-                right, assignment, assignment.w_val
-            )
-    else:
-        lhs = t_value(A, assignment, at)
-        for left, right in partitions_into_two(A):
-            if skip is not None and (tuple(left), tuple(right)) == skip:
-                continue
-            rhs += t_value(left, assignment, assignment.z_val) * t_value(
-                right, assignment, assignment.w_val
-            )
-    return lhs, rhs
+    for left, right in splits:
+        rhs += value(left, assignment, z) * t_value(right, assignment, w)
+    return value(A, assignment, z + w), rhs
 
 
 def random_identity_check(
@@ -284,11 +251,11 @@ def random_identity_check(
 
 
 def f_as_t_specialization(sizes: SizesLike, z_val: int) -> int:
-    """Parking-sequence count obtained from the binomial-type polynomial.
+    """Parking-sequence count obtained from the binomial-type family.
 
-    Builds the family member over {1..n}, sets every x parameter to 1, every
-    y_j to the j-th car size, the main variable to ``z_val``, and evaluates
-    exactly.  Must agree with the closed-form product for every input.
+    Specializes the factors of t over {1..n}: every x parameter to 1, every
+    y_j to the j-th car size, the main variable to ``z_val``, and multiplies
+    them exactly.  Must agree with the closed-form product for every input.
     """
     cars = as_car_sizes(sizes)
     if not isinstance(z_val, int) or z_val < 1:
@@ -296,11 +263,10 @@ def f_as_t_specialization(sizes: SizesLike, z_val: int) -> int:
     A = IndexSet.first(cars.n)
     assignment = ParameterAssignment(
         z_val=z_val,
-        w_val=0,
-        y_vals={j: cars.sizes[j - 1] for j in A},
-        x_vals={(i, j): 1 for i in A for j in A if i < j},
+        y_vals=dict(zip(A, cars.sizes)),
+        x_vals=dict.fromkeys(combinations(A, 2), 1),
     )
-    return t_poly(A).evaluate(assignment)
+    return t_value(A, assignment, z_val)
 
 
 def abel_rothe_specialize(
@@ -312,22 +278,14 @@ def abel_rothe_specialize(
     """Collapse a family member to a univariate polynomial in the main variable.
 
     Every x parameter becomes the constant ``xi`` and every y parameter the
-    constant ``eta``; the result is the classical Abel--Rothe shape.  For the
+    constant ``eta`` in each factor before the univariate factors are
+    multiplied; the result is the classical Abel--Rothe shape.  For the
     binomial-type family over {1..n} it equals
     ``z * prod_{a=1}^{n-1} (z + a*eta + (n-a)*xi)``.
     """
     A = _as_index_set(A)
-    if which == "t":
-        base = t_poly(A)
-    elif which == "s":
-        base = s_poly(A)
-    else:
+    if which not in ("t", "s"):
         raise ValueError(f"which must be 't' or 's', got {which!r}")
-    rules: dict[Variable, SparsePolynomial] = {}
-    for j in A:
-        rules[y_var(j)] = poly(eta)
-    for i in A:
-        for j in A:
-            if i < j:
-                rules[x_var(i, j)] = poly(xi)
-    return base.substitute(rules)
+    y = dict.fromkeys(A, eta)
+    x = dict.fromkeys(combinations(A, 2), xi)
+    return poly(math.prod(_factors(A, which, poly(Z), y, x)))

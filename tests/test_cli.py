@@ -151,6 +151,15 @@ class TestCount:
         assert code == 0
         assert "match=true" in out
 
+    def test_fleet_deeper_than_the_search_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--sizes", ",".join(["1"] * 1200), "--z", "1", "--enumerate", "--force"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"limit of {sys.getrecursionlimit() // 2}" in err
+
     def test_env_budget_is_honoured(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKSEQ_BUDGET", "10")
         code, _, err = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate")

@@ -1,6 +1,7 @@
 """Counting routes: closed form vs enumeration oracle vs recurrence."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from parkseq.counting import (
     subvector,
     verify_recurrence,
 )
+from parkseq.strehl import f_as_t_specialization
 
 sizes_vectors = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 
@@ -93,6 +95,11 @@ class TestEnumeration:
 
     def test_budget_none_lifts_guard(self):
         assert count_by_enumeration((2, 2, 1), 4, budget=None) == 288
+
+    def test_fleet_deeper_than_the_search_is_refused(self):
+        limit = sys.getrecursionlimit()
+        with pytest.raises(ValueError, match=f"limit of {limit // 2}"):
+            count_report((1,) * (limit + 1), 1, budget=None)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 3), max_size=4).map(tuple), st.integers(1, 4))
@@ -212,3 +219,18 @@ def test_count_report_flag_must_be_consistent():
     with pytest.raises(ValueError):
         CountReport(3, 4, True, 9)
     assert not CountReport.compare(3, 4, 9).match
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=4).map(tuple), st.integers(1, 4))
+def test_every_count_route_agrees(sizes, z):
+    """Closed form, trailer-free product, brute force, recurrence and the
+    specialization of t, all on the same instance."""
+    formula = count_by_formula(sizes, z)
+    if z == 1:
+        assert count_no_trailer(sizes) == formula
+    assert count_by_enumeration(sizes, z) == formula
+    if sizes:
+        report = verify_recurrence(sizes[:-1], sizes[-1], z)
+        assert report.enumerated == report.formula == formula
+    assert f_as_t_specialization(sizes, z) == formula

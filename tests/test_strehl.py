@@ -1,7 +1,8 @@
 """The two polynomial families, their identities, and the counting specializations."""
 
+import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -20,32 +21,12 @@ from parkseq.strehl import (
     s_value,
     t_poly,
     t_value,
-    x_upper_sum,
-    y_lower_sum,
 )
 
 
 def subsets(n, include_empty=True):
     for k in range(0 if include_empty else 1, n + 1):
         yield from (IndexSet(c) for c in combinations(range(1, n + 1), k))
-
-
-class TestLinearSums:
-    def test_x_upper_sum(self):
-        assert x_upper_sum((1, 2, 3), 1) == poly(x_var(1, 2)) + poly(x_var(1, 3))
-        assert x_upper_sum((1, 2, 3), 3) == 0
-        assert x_upper_sum((2, 5), 2) == poly(x_var(2, 5))
-
-    def test_y_lower_sum(self):
-        assert y_lower_sum((1, 2, 3), 2) == poly(y_var(1)) + poly(y_var(2))
-        assert y_lower_sum((1,), 1) == poly(y_var(1))
-        assert y_lower_sum((2, 5), 5) == poly(y_var(2)) + poly(y_var(5))
-
-    def test_membership_is_required(self):
-        with pytest.raises(ValueError):
-            x_upper_sum((1, 3), 2)
-        with pytest.raises(ValueError):
-            y_lower_sum((1, 3), 4)
 
 
 class TestFamilies:
@@ -238,8 +219,6 @@ class TestCountingSpecialization:
         assert f_as_t_specialization((2, 2, 1), 4) == 288
 
     def test_agrees_with_closed_form_on_small_sweep(self):
-        from itertools import product
-
         for n in range(4):
             for sizes in product((1, 2, 3), repeat=n):
                 for z in (1, 2, 3, 4):
@@ -248,6 +227,24 @@ class TestCountingSpecialization:
     def test_rejects_bad_z(self):
         with pytest.raises(ValueError):
             f_as_t_specialization((1,), 0)
+
+    def test_evaluating_the_expansion_gives_the_count(self):
+        """The engine's own route: expand t over {1..n}, then evaluate it."""
+        for n in range(5):
+            A = IndexSet.first(n)
+            expanded = t_poly(A)
+            for sizes in product((1, 2, 3), repeat=n):
+                for z in (1, 2, 3, 4):
+                    assignment = ParameterAssignment(
+                        z_val=z,
+                        y_vals=dict(zip(A, sizes)),
+                        x_vals={pair: 1 for pair in combinations(A, 2)},
+                    )
+                    assert expanded.evaluate(assignment) == count_by_formula(sizes, z)
+
+    def test_thirty_cars(self):
+        sizes = (1, 2, 3) * 10
+        assert f_as_t_specialization(sizes, 3) == count_by_formula(sizes, 3)
 
 
 class TestAbelRothe:
@@ -277,3 +274,45 @@ class TestAbelRothe:
     def test_which_is_validated(self):
         with pytest.raises(ValueError):
             abel_rothe_specialize((1,), "q", 0, 0)
+
+    @pytest.mark.parametrize("xi,eta", [(0, 0), (1, 1), (2, 5), (-3, 4)])
+    def test_substituting_into_the_expansion_agrees(self, xi, eta):
+        """The engine's own route: expand the member, then substitute constants."""
+        for A in subsets(4):
+            rules = {y_var(j): poly(eta) for j in A}
+            rules.update({x_var(i, j): poly(xi) for i, j in combinations(A, 2)})
+            for which, expanded in (("t", t_poly(A)), ("s", s_poly(A))):
+                assert expanded.substitute(rules) == abel_rothe_specialize(A, which, xi, eta)
+
+    def test_twelve_members(self):
+        n, xi, eta = 12, 3, -2
+        forms = [poly(Z) + a * eta + (n - a) * xi for a in range(1, n + 1)]
+        A = IndexSet.first(n)
+        assert abel_rothe_specialize(A, "t", xi, eta) == math.prod(forms[:-1], start=poly(Z))
+        assert abel_rothe_specialize(A, "s", xi, eta) == math.prod(forms, start=poly(1))
+
+
+class TestSympyOracle:
+    """Expansions against sympy, from the definition written out here."""
+
+    @pytest.mark.parametrize("A", list(subsets(4)), ids=str)
+    def test_expansions_match_term_by_term(self, A):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+        y = {j: sympy.Symbol(f"y{j}") for j in A}
+        x = {(i, j): sympy.Symbol(f"x{i}_{j}") for i, j in combinations(A, 2)}
+
+        def form(a):
+            return z + sum(y[j] for j in A if j <= a) + sum(x[a, j] for j in A if j > a)
+
+        s_expr = sympy.Mul(*[form(a) for a in A])
+        t_expr = z * sympy.Mul(*[form(a) for a in A if a != max(A)]) if A else sympy.Integer(1)
+        gens = [z, *y.values(), *x.values()]
+        names = [str(g) for g in gens]
+        for expr, ours in ((t_expr, t_poly(A)), (s_expr, s_poly(A))):
+            want = {e: int(c) for e, c in sympy.Poly(sympy.expand(expr), *gens).as_dict().items()}
+            got = {}
+            for mono, coeff in ours.terms.items():
+                powers = {str(v): e for v, e in mono}
+                got[tuple(powers.get(name, 0) for name in names)] = coeff
+            assert got == want
