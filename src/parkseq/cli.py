@@ -216,7 +216,7 @@ def _rows_identity(cfg: RunConfig, name: str) -> Iterator[dict]:
     for A in grounds:
         if name == "easy" and not A:
             raise ValueError("the easy identity needs a nonempty --set")
-        if cfg.randomized or (name != "easy" and len(A) > SYMBOLIC_BUDGET):
+        if cfg.randomized or len(A) > SYMBOLIC_BUDGET:
             ok = random_identity_check(name, A, trials=cfg.trials, seed=cfg.seed)
             if A:
                 first = ParameterAssignment.random_for(A, random.Random(cfg.seed))

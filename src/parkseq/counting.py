@@ -225,10 +225,14 @@ def partitions_into_two(
     belongs to the left set).
     """
     g = ground if isinstance(ground, IndexSet) else IndexSet(ground)
-    k = len(g)
+    _check_partition_count(len(g))
+    return _partition_stream(g)
+
+
+def _check_partition_count(k: int) -> None:
+    """Refuse to sum over the ``2**k`` splits of a ground set past ``PARTITION_LIMIT``."""
     if k > PARTITION_LIMIT:
         raise ValueError(f"refusing to stream 2^{k} decompositions (limit 2^{PARTITION_LIMIT})")
-    return _partition_stream(g)
 
 
 def _partition_stream(g: IndexSet) -> Iterator[tuple[IndexSet, IndexSet]]:

@@ -6,10 +6,12 @@ For a finite index set A, each member a of A has one linear form
 
 The Sheffer-type family s_A is the product of the forms over every member of
 A; the binomial-type family t_A is the main variable times the product over
-every member except the maximum, and 1 on the empty set.  ``_factors`` is the
-one place the forms are written: expansion, exact values, the head factor
-and the specializations all multiply its factors, specialized before
-anything is expanded.  Setting all x and all y parameters to constants
+every member except the maximum, and 1 on the empty set.  ``_join`` is the
+one place the forms are written: it adds one member to a set, growing every
+earlier form by one x term and giving the new member its form.  ``_factors``
+folds it over A, so expansion, exact values, the head factor and the
+specializations all multiply forms built by it, specialized before anything
+is expanded.  Setting all x and all y parameters to constants
 collapses both families to the classical Abel--Rothe polynomials, and
 evaluating t over {1..n} at all x = 1 with y set to the car sizes reproduces
 the parking-sequence count.
@@ -25,6 +27,10 @@ All sums inside s_L and t_R are taken relative to the sub-ground-set (L, R),
 not to A; with A-relative sums the sheffer identity already fails on {1, 2}.
 Each identity can be checked symbolically (canonical expansion, small sets)
 or probabilistically (exact big-integer evaluation at seeded random points).
+The exact right side of a convolution comes from a depth-first search over
+the members of A in increasing order: each member joins the left or the
+right side through ``_join``, so splits that share a prefix share its forms
+and a split costs O(|A|) instead of O(|A|^2).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from itertools import combinations
 from typing import Iterable, Literal, Mapping
 
 from .core import SizesLike, as_car_sizes
-from .counting import IndexSet, partitions_into_two
+from .counting import IndexSet, _check_partition_count, partitions_into_two
 from .poly import (
     ParameterAssignment,
     SparsePolynomial,
@@ -57,31 +63,51 @@ def _as_index_set(A: IndexSet | Iterable[int]) -> IndexSet:
     return A if isinstance(A, IndexSet) else IndexSet(A)
 
 
+def _join(side: tuple, b: int, y: Mapping, x: Mapping) -> tuple:
+    """Side ``(members, forms, lower)`` with member b, larger than all of them, added.
+
+    ``lower`` is the main variable plus the sum of ``y[j]`` over the members,
+    and ``forms[i]`` is the linear form of ``members[i]`` within the side:
+    every form already there gains ``x[a, b]``, and ``lower`` gains ``y[b]``
+    and becomes b's own form.  Ints and polynomials work alike.
+    """
+    members, forms, lower = side
+    forms = [form + x[a, b] for a, form in zip(members, forms)]
+    lower += y[b]
+    forms.append(lower)
+    return (*members, b), forms, lower
+
+
+def _family(family: str, at, forms: list) -> list:
+    """The factors of the ``family`` ("t" or "s") member with these forms.
+
+    s takes every form; t takes ``at`` and every form but the maximum's, and
+    is 1 (no factors) on the empty set.
+    """
+    if family == "s":
+        return forms
+    return [at, *forms[:-1]] if forms else []
+
+
+def _forms(A: Iterable[int], at, y: Mapping, x: Mapping) -> list:
+    """The linear forms of the members of A, in increasing order.
+
+    Member a's form is ``at + sum(y[j] for j <= a) + sum(x[a, j] for j > a)``
+    with j running over A, grown one member at a time by ``_join``.
+    """
+    side = ((), [], at)
+    for b in A:
+        side = _join(side, b, y, x)
+    return side[1]
+
+
 def _factors(A: Iterable[int], family: str, at, y: Mapping, x: Mapping) -> list:
     """The factors of the ``family`` ("t" or "s") member over A.
 
     ``at`` stands in for the main variable, ``y[j]`` for y_j and ``x[a, j]``
-    for x_{a,j}; ints and polynomials work alike.  Member a contributes
-    ``at + sum(y[j] for j <= a) + sum(x[a, j] for j > a)``, with j running
-    over A; s takes every member, t takes ``at`` and every member but the
-    maximum.
+    for x_{a,j}.
     """
-    later = list(A)  # the members after the current one
-    if family == "s":
-        factors, unformed = [], 0
-    elif later:
-        factors, unformed = [at], 1  # t has no form for the maximum
-    else:
-        return []
-    lower = at  # at plus the running sum of y[j] over the members up to a
-    while len(later) > unformed:
-        a = later.pop(0)
-        lower += y[a]
-        form = lower
-        for j in later:
-            form += x[a, j]
-        factors.append(form)
-    return factors
+    return _family(family, at, _forms(A, at, y, x))
 
 
 def _symbols(A: IndexSet) -> tuple[dict, dict]:
@@ -187,6 +213,46 @@ def t_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:
     return math.prod(_factors(A, "t", at, assignment.y_vals, assignment.x_vals))
 
 
+def _split_sum(A: IndexSet, family: str, z: int, w: int, y: Mapping, x: Mapping) -> int:
+    """Sum of ``family``_L(z) * t_R(w) over every split (L, R) of A.
+
+    A depth-first search over the members of A in increasing order: each one
+    joins the left side (main variable z) or the right side (w), so splits
+    that share a prefix share its forms, and a split costs O(|A|) beyond its
+    two products.  The search holds one side per level, O(|A|^2) values.
+    """
+    k = len(A)
+
+    def grow(i: int, left: tuple, right: tuple) -> int:
+        if i == k:
+            return math.prod(_family(family, z, left[1])) * math.prod(_family("t", w, right[1]))
+        b = A[i]
+        return grow(i + 1, _join(left, b, y, x), right) + grow(i + 1, left, _join(right, b, y, x))
+
+    return grow(0, ((), [], z), ((), [], w))
+
+
+def _omitted_split(identity: str, A: IndexSet, omit) -> tuple[tuple, tuple] | None:
+    """``omit`` as a pair of tuples, refused if it names no split of A or comes with easy."""
+    if omit is None:
+        return None
+    if identity == "easy":
+        raise ValueError(f"omit names a split of a convolution sum; easy has none, got omit={omit!r}")
+    sides = tuple(tuple(side) for side in omit)
+    members = [j for side in sides for j in side]
+    if (
+        len(sides) != 2
+        or len(members) != len(A)
+        or set(members) != set(A)
+        or any(a >= b for side in sides for a, b in zip(side, side[1:]))
+    ):
+        raise ValueError(
+            f"omit must name one split of A = {tuple(A)}: two strictly increasing,"
+            f" disjoint sides whose union is A, got omit={omit!r}"
+        )
+    return sides
+
+
 def identity_value_sides(
     identity: IdentityName,
     A: IndexSet | Iterable[int],
@@ -196,25 +262,30 @@ def identity_value_sides(
 ) -> tuple[int, int]:
     """Exact integer left and right sides of an identity at one assignment.
 
+    A convolution's right side is summed by a depth-first search over the
+    members of A, each joining the left or the right side in turn, so the
+    linear forms of splits with a common prefix are built once; a set of
+    more than ``PARTITION_LIMIT`` members is refused before any work.
+
     ``omit`` drops a single (left, right) decomposition from a convolution
     sum; dropping any term must break the identity, which is how the
-    randomized check is shown to have teeth.
+    randomized check is shown to have teeth.  It must name one split of A,
+    both sides strictly increasing, and is refused for ``easy``.
     """
     A = _as_index_set(A)
     _check_identity(identity, A)
-    z, w = assignment.z_val, assignment.w_val
+    omit = _omitted_split(identity, A, omit)
+    z, w, y, x = assignment.z_val, assignment.w_val, assignment.y_vals, assignment.x_vals
     if identity == "easy":
-        factors = _factors(A, "s", z, assignment.y_vals, assignment.x_vals)
-        return factors[-1] * t_value(A, assignment, z), z * math.prod(factors)
-    splits = partitions_into_two(A)
-    if omit is not None:
-        skip = (tuple(omit[0]), tuple(omit[1]))
-        splits = (split for split in splits if split != skip)
-    value = s_value if identity == "sheffer" else t_value
-    rhs = 0
-    for left, right in splits:
-        rhs += value(left, assignment, z) * t_value(right, assignment, w)
-    return value(A, assignment, z + w), rhs
+        forms = _forms(A, z, y, x)
+        return forms[-1] * math.prod(_family("t", z, forms)), z * math.prod(forms)
+    _check_partition_count(len(A))
+    family = "s" if identity == "sheffer" else "t"
+    rhs = _split_sum(A, family, z, w, y, x)
+    if omit is not None:  # taking its term back out equals leaving the split out
+        left, right = omit
+        rhs -= math.prod(_factors(left, family, z, y, x)) * math.prod(_factors(right, "t", w, y, x))
+    return math.prod(_factors(A, family, z + w, y, x)), rhs
 
 
 def random_identity_check(
@@ -229,16 +300,19 @@ def random_identity_check(
 
     Draws ``trials`` assignments with values uniform in [-10^6, 10^6] from a
     generator seeded with ``seed`` and compares both sides exactly; any
-    disagreement ends the check.  Both sides are degree <= |A| + 1, so a
-    false pass at these ranges is vanishingly unlikely.  On the empty ground
-    set every identity degenerates to 1 = 1 and the answer is True for any
-    seed.
+    disagreement ends the check.  A convolution's right side comes from
+    ``identity_value_sides``' split search, which shares the forms of
+    splits with a common prefix instead of rebuilding each of the 2^|A|
+    splits.  Both sides are degree <= |A| + 1, so a false pass at these
+    ranges is vanishingly unlikely.  On the empty ground set every identity
+    degenerates to 1 = 1 and the answer is True for any seed.
     """
     A = _as_index_set(A)
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    omit = _omitted_split(identity, A, omit)
     if not A:
         return True
     rng = random.Random(seed)

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -230,6 +231,36 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "binomial", "--set", "1,2,3,4,5,6", "--trials", "4")
         assert code == 0
         assert "randomized" in out
+
+    def test_large_easy_set_routes_to_randomized(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "easy", "--set", "1,2,3,4,5,6,7")
+        assert code == 0
+        [row] = out.splitlines()
+        assert row.startswith("easy A={1,2,3,4,5,6,7} randomized trials=20 seed=42: ")
+        assert row.endswith(" match=true")
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "verify sheffer --set 1,2,3,4,5,6,7,8 --trials 5 --seed 42",
+                "86432505ea5d2ff0e6e8ae4938fe71ccafda0b3e69a35c2ffd4517f64e09ad6a",
+            ),
+            (
+                "verify binomial --random --set 3,4,6,8,9 --trials 4 --format tsv",
+                "cc2db9892718705cb692ec9738b1b02905cf2ec6c282f1d1dc191e97c255f1fa",
+            ),
+            (
+                "verify all --random --n-max 6 --format json",
+                "ae4ae7069065f854fabed89f117f2b25421439cf41aa4f4f4a57c264471ea1c7",
+            ),
+        ],
+    )
+    def test_randomized_bytes_are_pinned(self, capsys, argv, digest):
+        """sha256 of stdout, recorded before the split search replaced the split stream."""
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_symbolic_rows_fingerprint_both_sides(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "easy", "--set", "1,2", "--format", "tsv")

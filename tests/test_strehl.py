@@ -2,11 +2,14 @@
 
 import math
 import random
+import re
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parkseq.counting import IndexSet, count_by_formula, partitions_into_two
+from parkseq.counting import PARTITION_LIMIT, IndexSet, count_by_formula, partitions_into_two
 from parkseq.poly import ParameterAssignment, SparsePolynomial, W, Z, poly, x_var, y_var
 from parkseq.strehl import (
     abel_rothe_specialize,
@@ -210,6 +213,87 @@ class TestRandomizedCheck:
             random_identity_check("nonsense", (1,))
         with pytest.raises(ValueError):
             identity_value_sides("easy", (), ParameterAssignment())
+
+
+@st.composite
+def value_instances(draw):
+    """An identity, a ground set of up to 7 arbitrary labels, an assignment
+    with negative values allowed, and for a convolution maybe one split to omit."""
+    identity = draw(st.sampled_from(["easy", "sheffer", "binomial"]))
+    A = sorted(draw(st.sets(st.integers(1, 40), min_size=1 if identity == "easy" else 0, max_size=7)))
+    values = st.integers(-(10**6), 10**6)
+    assignment = ParameterAssignment(
+        z_val=draw(values),
+        w_val=draw(values),
+        y_vals={j: draw(values) for j in A},
+        x_vals={pair: draw(values) for pair in combinations(A, 2)},
+    )
+    omit = None
+    if identity != "easy" and draw(st.booleans()):
+        mask = draw(st.integers(0, 2 ** len(A) - 1))
+        omit = (
+            tuple(a for b, a in enumerate(A) if mask >> b & 1),
+            tuple(a for b, a in enumerate(A) if not mask >> b & 1),
+        )
+    return identity, A, assignment, omit
+
+
+class TestSplitSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(value_instances())
+    def test_sides_match_a_literal_sum_over_splits(self, instance):
+        """Both sides against the definition written out here, one split at a time."""
+        identity, A, assignment, omit = instance
+        z, w = assignment.z_val, assignment.w_val
+        y, x = assignment.y_vals, assignment.x_vals
+
+        def form(S, a, at):
+            return at + sum(y[j] for j in S if j <= a) + sum(x[a, j] for j in S if j > a)
+
+        def s_lit(S, at):
+            return math.prod(form(S, a, at) for a in S)
+
+        def t_lit(S, at):
+            return at * math.prod(form(S, a, at) for a in S[:-1]) if S else 1
+
+        if identity == "easy":
+            want = ((z + sum(y.values())) * t_lit(A, z), z * s_lit(A, z))
+        else:
+            family = s_lit if identity == "sheffer" else t_lit
+            rhs = sum(
+                family(left, z) * t_lit(right, w)
+                for left, right in partitions_into_two(A)
+                if (left, right) != omit
+            )
+            want = (family(A, z + w), rhs)
+        assert identity_value_sides(identity, A, assignment, omit=omit) == want
+
+    @pytest.mark.parametrize(
+        "identity,omit",
+        [
+            ("sheffer", ((2, 1), (3,))),  # a reordered side
+            ("binomial", ((1,), (3, 2))),
+            ("sheffer", ((1,), (3,))),  # a missing member
+            ("binomial", ((1, 2), (2, 3))),  # a member on both sides
+            ("sheffer", ((1, 2, 3, 4), ())),  # a member outside A
+            ("binomial", ((1,), (2,), (3,))),  # three sides
+            ("easy", ((1, 2), (3,))),  # easy sums over no splits
+        ],
+    )
+    def test_omit_that_names_no_split_is_refused(self, identity, omit):
+        assignment = ParameterAssignment.random_for((1, 2, 3), random.Random(5))
+        with pytest.raises(ValueError, match="omit"):
+            identity_value_sides(identity, (1, 2, 3), assignment, omit=omit)
+        with pytest.raises(ValueError, match="omit"):
+            random_identity_check(identity, (1, 2, 3), trials=1, omit=omit)
+
+    @pytest.mark.parametrize("identity", ["sheffer", "binomial"])
+    def test_more_members_than_the_partition_limit_are_refused(self, identity):
+        """Refused before any work: the empty assignment would fail on its first read."""
+        k = PARTITION_LIMIT + 1
+        message = f"refusing to stream 2^{k} decompositions (limit 2^{PARTITION_LIMIT})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            identity_value_sides(identity, range(1, k + 1), ParameterAssignment())
 
 
 class TestCountingSpecialization:
