@@ -49,6 +49,11 @@ class IndexSet(tuple):
         return super().__new__(cls, t)
 
     @classmethod
+    def _unchecked(cls, elems: tuple[int, ...]) -> "IndexSet":
+        """An IndexSet of ``elems`` without validation: only for a subsequence of a valid one."""
+        return tuple.__new__(cls, elems)
+
+    @classmethod
     def of(cls, *elems: int) -> "IndexSet":
         """Build from arbitrary order, deduplicating."""
         return cls(sorted(set(elems)))
@@ -237,8 +242,8 @@ def _check_partition_count(k: int) -> None:
 
 def _partition_stream(g: IndexSet) -> Iterator[tuple[IndexSet, IndexSet]]:
     for mask in range(1 << len(g)):
-        left = IndexSet(e for b, e in enumerate(g) if mask >> b & 1)
-        right = IndexSet(e for b, e in enumerate(g) if not mask >> b & 1)
+        left = IndexSet._unchecked(tuple(e for b, e in enumerate(g) if mask >> b & 1))
+        right = IndexSet._unchecked(tuple(e for b, e in enumerate(g) if not mask >> b & 1))
         yield left, right
 
 

@@ -2,31 +2,36 @@
 
 Variables come in four families: the main indeterminate ``z``, its
 convolution partner ``w``, one ``y_j`` per positive index j, and one
-``x_{i,j}`` per index pair i < j.  Variables are totally ordered
-z < w < y_1 < y_2 < ... < x_{1,2} < x_{1,3} < ..., monomials are sorted
-tuples of (variable, exponent) pairs, and a polynomial is a mapping from
-monomials to nonzero integer coefficients.  The representation is canonical:
-no zero coefficient and no zero exponent is ever stored, so equality of
-polynomials is plain equality of term maps.  There is no floating point
-anywhere in this module.
+``x_{i,j}`` per index pair i < j.  A variable is a named tuple
+``(family, a, b)`` with families numbered z = 0, w = 1, y = 2, x = 3, so
+tuple order is the total order z < w < y_1 < y_2 < ... < x_{1,2} < x_{1,3}
+< ... and hashing, equality and ordering run in the interpreter's tuple code,
+not in Python.  A monomial is a tuple of (variable, exponent) pairs sorted
+by variable, and a polynomial is a dict from monomials to nonzero integer
+coefficients.  The representation is canonical: no zero coefficient and no
+zero exponent is ever stored, so equality of polynomials is plain equality
+of term maps, and ``str`` lists the terms in increasing monomial order.
+There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 _FAM_Z = 0
 _FAM_W = 1
 _FAM_Y = 2
 _FAM_X = 3
-_FAMILY_NAMES = ("z", "w", "y", "x")
 
 
-@dataclass(frozen=True, order=True, repr=False)
-class Variable:
-    """One indeterminate; ordering is (family, first index, second index)."""
+class Variable(NamedTuple):
+    """One indeterminate; ordering is (family, first index, second index).
+
+    Being a tuple, it equals the plain tuple ``(family, a, b)``, but only a
+    ``Variable`` is accepted as a monomial key.
+    """
 
     family: int
     a: int = 0
@@ -42,6 +47,12 @@ class Variable:
         return f"x{self.a}_{self.b}"
 
     __str__ = __repr__
+
+    def __add__(self, other: object):
+        # arithmetic goes through polynomials, never tuple concatenation or repetition
+        return NotImplemented
+
+    __radd__ = __mul__ = __rmul__ = __add__
 
 
 Z = Variable(_FAM_Z)
@@ -90,9 +101,26 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not b:
         return a
     merged = dict(a)
+    for v, _ in b:
+        if v in merged:
+            break
+    else:  # no shared variable, as in every s_L(z) * t_R(w): only an ordering is left
+        return tuple(sorted(a + b))
     for v, e in b:
         merged[v] = merged.get(v, 0) + e
     return tuple(sorted(merged.items()))
+
+
+class _PowerText(dict):
+    """``name`` or ``name^e`` for each (variable, exponent) pair, rendered once."""
+
+    def __missing__(self, pair: tuple[Variable, int]) -> str:
+        v, e = pair
+        text = self[pair] = str(v) if e == 1 else f"{v}^{e}"
+        return text
+
+
+_POWER_TEXT = _PowerText()
 
 
 class SparsePolynomial:
@@ -290,7 +318,7 @@ class SparsePolynomial:
         chunks = []
         for mono in sorted(self._terms):
             coeff = self._terms[mono]
-            body = "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
+            body = "*".join(map(_POWER_TEXT.__getitem__, mono))
             if not body:
                 text = str(abs(coeff))
             elif abs(coeff) == 1:

@@ -153,21 +153,22 @@ def identity_sides(
 ) -> tuple[SparsePolynomial, SparsePolynomial]:
     """Symbolic left and right sides of one identity over ground set A.
 
-    The convolution identities enumerate ``2**|A|`` decompositions, each a
-    product of expanded factors, so they carry a size guard; pass a larger
+    Every identity expands family members whose term counts grow
+    exponentially in |A|, and the convolutions also enumerate ``2**|A|``
+    decompositions, so all three carry a size guard; pass a larger
     ``budget`` to lift it deliberately.
     """
     A = _as_index_set(A)
     _check_identity(identity, A)
-    z = poly(Z)
-    if identity == "easy":
-        head = _factors(A, "s", z, *_symbols(A))[-1]
-        return head * t_poly(A), z * s_poly(A)
     if len(A) > budget:
         raise ValueError(
             f"|A| = {len(A)} exceeds the symbolic expansion budget {budget};"
             " use random_identity_check instead"
         )
+    z = poly(Z)
+    if identity == "easy":
+        head = _factors(A, "s", z, *_symbols(A))[-1]
+        return head * t_poly(A), z * s_poly(A)
     family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
     lhs = poly(math.prod(_factors(A, family, z + poly(W), *_symbols(A))))
     rhs = poly(0)
@@ -176,9 +177,9 @@ def identity_sides(
     return lhs, rhs
 
 
-def check_easy_identity(A: IndexSet | Iterable[int]) -> bool:
+def check_easy_identity(A: IndexSet | Iterable[int], *, budget: int = SYMBOLIC_BUDGET) -> bool:
     """Head-factor identity: true iff both sides expand to the same polynomial."""
-    lhs, rhs = identity_sides("easy", A)
+    lhs, rhs = identity_sides("easy", A, budget=budget)
     return lhs == rhs
 
 

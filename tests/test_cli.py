@@ -262,6 +262,14 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_default_verify_all_bytes_are_pinned(self, capsys):
+        """sha256 of ``verify all --format json``, recorded while variables were
+        still dataclasses: its symbolic rows digest rendered polynomials."""
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "json")
+        assert code == 0
+        digest = "03dd6c3d2817845215ce4327810bf5630bab6f88ce65564a1a358f033bdd20e7"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_symbolic_rows_fingerprint_both_sides(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "easy", "--set", "1,2", "--format", "tsv")
         assert code == 0

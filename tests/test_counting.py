@@ -165,6 +165,23 @@ class TestPartitions:
             assert set(left) & set(right) == set()
             assert set(left) | set(right) == set(ground)
 
+    @given(st.sets(st.integers(1, 40), max_size=7))
+    def test_pairs_match_a_validated_literal_construction(self, elems):
+        """Same IndexSet pairs, in the same order, as building each side
+        through the validating constructor, bit b of the mask putting the
+        b-th smallest member on the left."""
+        ground = IndexSet(sorted(elems))
+        expected = [
+            (
+                IndexSet([e for b, e in enumerate(ground) if mask >> b & 1]),
+                IndexSet([e for b, e in enumerate(ground) if not mask >> b & 1]),
+            )
+            for mask in range(1 << len(ground))
+        ]
+        pairs = list(partitions_into_two(ground))
+        assert pairs == expected
+        assert all(type(side) is IndexSet for pair in pairs for side in pair)
+
     def test_size_guard_raises_eagerly(self):
         with pytest.raises(ValueError):
             partitions_into_two(IndexSet(range(1, 40)))

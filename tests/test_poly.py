@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from parkseq.poly import (
     ParameterAssignment,
     SparsePolynomial,
+    Variable,
     W,
     Z,
     monomial,
@@ -213,3 +214,92 @@ def test_random_assignment_is_seed_deterministic():
     assert set(first.x_vals) == {(1, 3), (1, 4), (3, 4)}
     for value in (first.z_val, first.w_val, *first.y_vals.values(), *first.x_vals.values()):
         assert -(10**6) <= value <= 10**6
+
+
+NAMED_VARS = [
+    Z,
+    W,
+    *(y_var(j) for j in (1, 2, 9, 10, 12)),
+    *(x_var(i, j) for i, j in ((1, 2), (1, 10), (2, 3), (9, 12))),
+]
+wide_polys = st.builds(
+    SparsePolynomial.from_terms,
+    st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from(NAMED_VARS), st.integers(1, 12), max_size=5),
+            st.integers(-(10**12), 10**12),
+        ),
+        max_size=12,
+    ),
+)
+
+
+def _literal_render(terms):
+    """The canonical text written out from the term map alone: monomials in
+    increasing order of their ((family, a, b), exponent) lists, signed."""
+
+    def name(v):
+        return ("z", "w", f"y{v.a}", f"x{v.a}_{v.b}")[v.family]
+
+    def key(mono):
+        return [((v.family, v.a, v.b), e) for v, e in mono]
+
+    pieces = []
+    for mono in sorted(terms, key=key):
+        coeff = terms[mono]
+        body = "*".join(name(v) if e == 1 else f"{name(v)}^{e}" for v, e in mono)
+        if not body:
+            text = str(abs(coeff))
+        elif abs(coeff) == 1:
+            text = body
+        else:
+            text = f"{abs(coeff)}*{body}"
+        pieces.append(("-" if coeff < 0 else "+", text))
+    if not pieces:
+        return "0"
+    first_sign, first = pieces[0]
+    return ("-" if first_sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in pieces[1:])
+
+
+@given(wide_polys, wide_polys)
+def test_rendering_matches_a_literal_renderer(a, b):
+    for p in (a, b, a * b, a - b):
+        assert str(p) == _literal_render(p.terms)
+
+
+class TestVariableContract:
+    def test_equal_variables_built_apart_hash_and_compare_equal(self):
+        for first, second in ((y_var(3), y_var(3)), (x_var(2, 7), x_var(2, 7)), (Z, Variable(0))):
+            assert first == second
+            assert hash(first) == hash(second)
+            assert not first < second and not second < first
+        assert {x_var(1, 2): 1}[x_var(1, 2)] == 1
+
+    def test_term_keys_hold_variables(self):
+        p = (poly(Z) + y_var(1) + x_var(1, 2)) * (poly(W) + y_var(2)) * 3
+        for mono in p.terms:
+            for v, e in mono:
+                assert isinstance(v, Variable)
+                assert isinstance(e, int) and e >= 1
+
+    def test_monomial_rejects_a_plain_tuple_key(self):
+        with pytest.raises(ValueError):
+            monomial({(0, 0, 0): 1})
+        with pytest.raises(ValueError):
+            monomial([((2, 1, 0), 1)])
+
+    def test_arithmetic_goes_through_polynomials(self):
+        assert Z + poly(W) == poly(Z) + poly(W)
+        assert y_var(1) * poly(W) == poly(y_var(1)) * poly(W)
+        for tuple_arithmetic in (lambda: 2 * Z, lambda: Z * 2, lambda: Z + (1,), lambda: Z + 1):
+            with pytest.raises(TypeError):
+                tuple_arithmetic()
+
+    def test_degree_and_variables_take_variables_built_apart(self):
+        q = (poly(Z) + y_var(4)) * (poly(Z) + y_var(4)) * poly(x_var(2, 4))
+        assert q.degree(Variable(0)) == 2
+        assert q.degree(y_var(4)) == 2
+        assert q.degree(x_var(2, 4)) == 1
+        assert q.degree(x_var(1, 4)) == 0
+        assert q.variables() == {Variable(0), y_var(4), x_var(2, 4)}
+        assert all(isinstance(v, Variable) for v in q.variables())

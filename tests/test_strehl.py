@@ -1,5 +1,6 @@
 """The two polynomial families, their identities, and the counting specializations."""
 
+import hashlib
 import math
 import random
 import re
@@ -96,6 +97,31 @@ class TestEasyIdentity:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             check_easy_identity(())
+
+    def test_budget_guard(self):
+        """A 7-set is refused before anything is expanded."""
+        A = tuple(range(1, 8))
+        for call in (lambda: identity_sides("easy", A), lambda: check_easy_identity(A)):
+            with pytest.raises(ValueError, match="use random_identity_check instead"):
+                call()
+        assert check_easy_identity((1, 2, 3), budget=3)
+        with pytest.raises(ValueError, match="budget 2"):
+            check_easy_identity((1, 2, 3), budget=2)
+
+
+@pytest.mark.parametrize(
+    "identity,digest",
+    [
+        ("easy", "d10de194f079de57c770730f79f02dfe3cd9792916c14b8b8de4433a1e782875"),
+        ("sheffer", "09ceead8355791ebb685a5ba2f725e1d9805833fc4b59921d44295d8234c386c"),
+        ("binomial", "b2a0d1d5fa2114b920482ef0ad86e57226f489034e4d1da25fe99744bbcf0210"),
+    ],
+)
+def test_rendered_sides_are_pinned(identity, digest):
+    """sha256 of ``str`` of both sides on {2, 5, 7, 9}, recorded while
+    variables were still dataclasses; the CLI digests hash these bytes."""
+    for side in identity_sides(identity, (2, 5, 7, 9)):
+        assert hashlib.sha256(str(side).encode()).hexdigest() == digest
 
 
 class TestShefferConvolution:
