@@ -29,8 +29,6 @@ from .counting import (
     count_no_trailer,
     count_report,
     partitions_into_two,
-    subvector,
-    verify_recurrence,
 )
 from .poly import (
     ParameterAssignment,
@@ -57,6 +55,7 @@ from .strehl import (
     s_value,
     t_poly,
     t_value,
+    verify_recurrence,
 )
 
 __version__ = "0.1.0"
@@ -82,8 +81,6 @@ __all__ = [
     "count_no_trailer",
     "count_report",
     "partitions_into_two",
-    "subvector",
-    "verify_recurrence",
     "ParameterAssignment",
     "SparsePolynomial",
     "Variable",
@@ -106,4 +103,5 @@ __all__ = [
     "s_value",
     "t_poly",
     "t_value",
+    "verify_recurrence",
 ]

@@ -27,7 +27,6 @@ from .counting import (
     IndexSet,
     count_by_formula,
     count_report,
-    verify_recurrence,
 )
 from .poly import ParameterAssignment, SparsePolynomial
 from .strehl import (
@@ -36,6 +35,7 @@ from .strehl import (
     identity_sides,
     identity_value_sides,
     random_identity_check,
+    verify_recurrence,
 )
 
 EXIT_OK = 0

@@ -1,9 +1,9 @@
-"""Counting parking sequences, three routes that must agree.
+"""Counting parking sequences: the closed-form product and a brute-force oracle.
 
-The closed-form product, the brute-force enumeration oracle over every
-preference tuple, and the decomposition recurrence over ordered two-block
-splits of the car indices.  Everything runs on exact arbitrary-precision
-integers; the product grows too fast for anything else.
+Neither imports the polynomial engine (``poly``, ``strehl``), so both stay
+independent checks of the routes built on it, the decomposition recurrence
+included.  Everything runs on exact arbitrary-precision integers; the
+product grows too fast for anything else.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import CarSizeVector, SizesLike, as_car_sizes
+from .core import SizesLike, as_car_sizes
 
 DEFAULT_BUDGET = 10**8
 PARTITION_LIMIT = 30
@@ -35,7 +35,7 @@ class IndexSet(tuple):
     """Strictly increasing tuple of positive integers.
 
     The ground set for decompositions: element order is the original car
-    order, so taking a sub-vector through an IndexSet never reorders sizes.
+    order, so a block of cars picked through an IndexSet keeps its order.
     """
 
     def __new__(cls, elems: Iterable[int] = ()) -> "IndexSet":
@@ -47,11 +47,6 @@ class IndexSet(tuple):
             if a >= b:
                 raise ValueError(f"index set must be strictly increasing, got {t}")
         return super().__new__(cls, t)
-
-    @classmethod
-    def _unchecked(cls, elems: tuple[int, ...]) -> "IndexSet":
-        """An IndexSet of ``elems`` without validation: only for a subsequence of a valid one."""
-        return tuple.__new__(cls, elems)
 
     @classmethod
     def of(cls, *elems: int) -> "IndexSet":
@@ -242,40 +237,7 @@ def _check_partition_count(k: int) -> None:
 
 def _partition_stream(g: IndexSet) -> Iterator[tuple[IndexSet, IndexSet]]:
     for mask in range(1 << len(g)):
-        left = IndexSet._unchecked(tuple(e for b, e in enumerate(g) if mask >> b & 1))
-        right = IndexSet._unchecked(tuple(e for b, e in enumerate(g) if not mask >> b & 1))
+        left = IndexSet(e for b, e in enumerate(g) if mask >> b & 1)
+        right = IndexSet(e for b, e in enumerate(g) if not mask >> b & 1)
         yield left, right
 
-
-def subvector(sizes: SizesLike, indices: Iterable[int]) -> CarSizeVector:
-    """Sizes at the given 1-based indices, in original order (never sorted by size)."""
-    cars = as_car_sizes(sizes)
-    idxs = indices if isinstance(indices, IndexSet) else IndexSet(indices)
-    if idxs and idxs[-1] > cars.n:
-        raise ValueError(f"index {idxs[-1]} outside 1..{cars.n}")
-    return CarSizeVector(tuple(cars.sizes[i - 1] for i in idxs))
-
-
-def verify_recurrence(sizes: SizesLike, next_size: int, z: int) -> CountReport:
-    """Check the decomposition recurrence for appending one more car.
-
-    The left side is the closed form for ``sizes`` extended by ``next_size``.
-    The right side sums, over every ordered split (left, right) of the car
-    indices, the closed form for the left block behind the trailer times the
-    closed form for the right block with no trailer, weighted by ``z`` plus
-    the left block's total size.  ``tuples_scanned`` is the number of splits.
-    """
-    cars = as_car_sizes(sizes)
-    _check_z(z)
-    if not isinstance(next_size, int) or next_size < 1:
-        raise ValueError(f"next car size must be an integer >= 1, got {next_size!r}")
-    rhs = 0
-    splits = 0
-    for left, right in partitions_into_two(IndexSet.first(cars.n)):
-        weight = z + sum(cars.sizes[l - 1] for l in left)
-        rhs += weight * count_by_formula(subvector(cars, left), z) * count_by_formula(
-            subvector(cars, right), 1
-        )
-        splits += 1
-    lhs = count_by_formula(CarSizeVector(cars.sizes + (next_size,)), z)
-    return CountReport.compare(rhs, lhs, splits)

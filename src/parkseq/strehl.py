@@ -12,9 +12,7 @@ earlier form by one x term and giving the new member its form.  ``_factors``
 folds it over A, so expansion, exact values, the head factor and the
 specializations all multiply forms built by it, specialized before anything
 is expanded.  Setting all x and all y parameters to constants
-collapses both families to the classical Abel--Rothe polynomials, and
-evaluating t over {1..n} at all x = 1 with y set to the car sizes reproduces
-the parking-sequence count.
+collapses both families to the classical Abel--Rothe polynomials.
 
 Three identities connect the families:
 
@@ -31,6 +29,11 @@ The exact right side of a convolution comes from a depth-first search over
 the members of A in increasing order: each member joins the left or the
 right side through ``_join``, so splits that share a prefix share its forms
 and a split costs O(|A|) instead of O(|A|^2).
+
+At the parking point (A = {1..n}, all x = 1, y_j the j-th car size) t_A(z)
+is F(sizes, z), the closed-form parking count, and z * s_L(z) * t_R(1) is
+the recurrence term (z + sum of L's sizes) * F(L, z) * F(R, 1), so
+``verify_recurrence`` sums z times the sheffer right side at w = 1.
 """
 
 from __future__ import annotations
@@ -42,7 +45,14 @@ from itertools import combinations
 from typing import Iterable, Literal, Mapping
 
 from .core import SizesLike, as_car_sizes
-from .counting import IndexSet, _check_partition_count, partitions_into_two
+from .counting import (
+    CountReport,
+    IndexSet,
+    _check_partition_count,
+    _check_z,
+    count_by_formula,
+    partitions_into_two,
+)
 from .poly import (
     ParameterAssignment,
     SparsePolynomial,
@@ -304,9 +314,13 @@ def random_identity_check(
     disagreement ends the check.  A convolution's right side comes from
     ``identity_value_sides``' split search, which shares the forms of
     splits with a common prefix instead of rebuilding each of the 2^|A|
-    splits.  Both sides are degree <= |A| + 1, so a false pass at these
-    ranges is vanishingly unlikely.  On the empty ground set every identity
-    degenerates to 1 = 1 and the answer is True for any seed.
+    splits.  The difference of the two sides has total degree <= |A| + 1
+    and every variable is uniform over the 2*10^6 + 1 integers drawn, so by
+    the Schwartz--Zippel lemma a false identity passes one trial with
+    probability <= (|A| + 1) / (2*10^6 + 1), and ``trials`` independent
+    trials with at most that bound raised to the power ``trials``.  On the
+    empty ground set every identity degenerates to 1 = 1 and the answer is
+    True for any seed.
     """
     A = _as_index_set(A)
     if identity not in _IDENTITIES:
@@ -325,23 +339,45 @@ def random_identity_check(
     return True
 
 
+def _parking_point(sizes: tuple[int, ...]) -> tuple[IndexSet, dict, dict]:
+    """The parking point ``(A, y, x)``: A = {1..n}, y_j the j-th car size, every x 1."""
+    A = IndexSet.first(len(sizes))
+    return A, dict(zip(A, sizes)), dict.fromkeys(combinations(A, 2), 1)
+
+
 def f_as_t_specialization(sizes: SizesLike, z_val: int) -> int:
     """Parking-sequence count obtained from the binomial-type family.
 
-    Specializes the factors of t over {1..n}: every x parameter to 1, every
-    y_j to the j-th car size, the main variable to ``z_val``, and multiplies
-    them exactly.  Must agree with the closed-form product for every input.
+    Specializes the factors of t over {1..n} at the parking point (every x
+    parameter 1, every y_j the j-th car size, the main variable ``z_val``)
+    and multiplies them exactly.  Must agree with the closed-form product
+    for every input.
     """
     cars = as_car_sizes(sizes)
     if not isinstance(z_val, int) or z_val < 1:
         raise ValueError(f"trailer parameter must be an integer >= 1, got {z_val!r}")
-    A = IndexSet.first(cars.n)
-    assignment = ParameterAssignment(
-        z_val=z_val,
-        y_vals=dict(zip(A, cars.sizes)),
-        x_vals=dict.fromkeys(combinations(A, 2), 1),
-    )
-    return t_value(A, assignment, z_val)
+    A, y, x = _parking_point(cars.sizes)
+    return math.prod(_factors(A, "t", z_val, y, x))
+
+
+def verify_recurrence(sizes: SizesLike, next_size: int, z: int) -> CountReport:
+    """Check the decomposition recurrence for appending one more car.
+
+    The left side is the closed form F for ``sizes`` extended by
+    ``next_size``; the right side sums (z + sum of L's sizes) * F(L, z) *
+    F(R, 1) over every ordered split (L, R) of the car indices, as z times
+    the sheffer right side at the parking point and w = 1, by the split
+    search.  ``tuples_scanned`` is the number of splits, 2**n.
+    """
+    cars = as_car_sizes(sizes)
+    _check_z(z)
+    if not isinstance(next_size, int) or next_size < 1:
+        raise ValueError(f"next car size must be an integer >= 1, got {next_size!r}")
+    _check_partition_count(cars.n)
+    A, y, x = _parking_point(cars.sizes)
+    rhs = z * _split_sum(A, "s", z, 1, y, x)
+    lhs = count_by_formula(cars.sizes + (next_size,), z)
+    return CountReport.compare(rhs, lhs, 1 << cars.n)
 
 
 def abel_rothe_specialize(

@@ -13,7 +13,6 @@ from parkseq.counting import (
     count_by_enumeration,
     count_by_formula,
     partitions_into_two,
-    verify_recurrence,
 )
 from parkseq.strehl import (
     check_binomial_convolution,
@@ -21,6 +20,7 @@ from parkseq.strehl import (
     check_sheffer_convolution,
     f_as_t_specialization,
     random_identity_check,
+    verify_recurrence,
 )
 
 

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "s_poly",
     "s_value",
     "simulate_parking",
-    "subvector",
     "t_poly",
     "t_value",
     "verify_recurrence",

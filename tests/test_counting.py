@@ -1,6 +1,7 @@
 """Counting routes: closed form vs enumeration oracle vs recurrence."""
 
 import itertools
+import re
 import sys
 
 import pytest
@@ -17,10 +18,8 @@ from parkseq.counting import (
     count_no_trailer,
     count_report,
     partitions_into_two,
-    subvector,
-    verify_recurrence,
 )
-from parkseq.strehl import f_as_t_specialization
+from parkseq.strehl import f_as_t_specialization, verify_recurrence
 
 sizes_vectors = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 
@@ -187,17 +186,6 @@ class TestPartitions:
             partitions_into_two(IndexSet(range(1, 40)))
 
 
-class TestSubvector:
-    def test_preserves_original_order(self):
-        assert subvector((5, 2, 7), IndexSet((1, 3))).sizes == (5, 7)
-        assert subvector((5, 2, 7), IndexSet((2,))).sizes == (2,)
-        assert subvector((5, 2, 7), IndexSet(())).sizes == ()
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            subvector((5, 2), IndexSet((3,)))
-
-
 class TestRecurrence:
     @pytest.mark.parametrize("z", [1, 2, 5])
     @pytest.mark.parametrize("next_size", [1, 3])
@@ -229,6 +217,35 @@ class TestRecurrence:
     def test_rejects_bad_next_size(self):
         with pytest.raises(ValueError):
             verify_recurrence((1,), 0, 1)
+
+    def test_more_cars_than_the_partition_limit_are_refused(self):
+        message = "refusing to stream 2^31 decompositions (limit 2^30)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_recurrence((1,) * 31, 1, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), max_size=6).map(tuple),
+        st.integers(1, 3),
+        st.integers(1, 4),
+    )
+    def test_matches_a_literal_sum_over_splits(self, sizes, next_size, z):
+        """The right side written out: (z + sum of L's sizes) * F(L, z) * F(R, 1)
+        over every split, each block's sizes picked by index in original order."""
+        rhs = 0
+        for left, right in partitions_into_two(range(1, len(sizes) + 1)):
+            left_sizes = tuple(sizes[i - 1] for i in left)
+            right_sizes = tuple(sizes[i - 1] for i in right)
+            rhs += (
+                (z + sum(left_sizes))
+                * count_by_formula(left_sizes, z)
+                * count_by_formula(right_sizes, 1)
+            )
+        report = verify_recurrence(sizes, next_size, z)
+        assert report.enumerated == rhs
+        assert report.formula == count_by_formula(sizes + (next_size,), z)
+        assert report.match
+        assert report.tuples_scanned == 2 ** len(sizes)
 
 
 def test_count_report_flag_must_be_consistent():
