@@ -13,10 +13,8 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import combinations, cycle, islice, product
 from typing import Iterable, Iterator
 
@@ -28,13 +26,12 @@ from .counting import (
     count_by_formula,
     count_report,
 )
-from .poly import ParameterAssignment, SparsePolynomial
+from .poly import SparsePolynomial
 from .strehl import (
     SYMBOLIC_BUDGET,
+    _trial_sides,
     f_as_t_specialization,
     identity_sides,
-    identity_value_sides,
-    random_identity_check,
     verify_recurrence,
 )
 
@@ -50,39 +47,6 @@ PARK_COLUMNS = ("sizes", "z", "prefs", "outcome", "layout", "car", "first_empty"
 COUNT_COLUMNS = ("sizes", "z", "formula", "enumerated", "match", "tuples_scanned")
 VERIFY_COLUMNS = ("suite", "instance", "lhs", "rhs", "match")
 TABLE_COLUMNS = ("n", "z", "count")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs for one invocation."""
-
-    subcommand: str
-    fmt: str = "plain"
-    sizes: tuple[int, ...] = ()
-    z: int = 1
-    prefs: tuple[int, ...] = ()
-    do_enumerate: bool = False
-    budget: int = DEFAULT_BUDGET
-    force: bool = False
-    suite: str = "all"
-    ground: tuple[int, ...] | None = None
-    randomized: bool = False
-    n_max: int = 3
-    y_max: int = 3
-    z_max: int = 4
-    trials: int = 20
-    seed: int = 42
-    family: str = "ones"
-    car: int = 2
-    pattern: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -109,11 +73,11 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _emit(cfg: RunConfig, records: list[dict], plain_lines: list[str], columns: tuple[str, ...]) -> None:
-    if cfg.fmt == "plain":
+def _emit(fmt: str, records: list[dict], plain_lines: list[str], columns: tuple[str, ...]) -> None:
+    if fmt == "plain":
         for line in plain_lines:
             print(line)
-    elif cfg.fmt == "json":
+    elif fmt == "json":
         for record in records:
             print(json.dumps(record))
     else:
@@ -128,13 +92,9 @@ def _digest(p: SparsePolynomial) -> str:
     return f"t{len(p.terms)}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 
 
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def cmd_park(cfg: RunConfig) -> int:
-    outcome = simulate_parking(cfg.sizes, cfg.z, cfg.prefs)
-    record: dict = {"sizes": list(cfg.sizes), "z": cfg.z, "prefs": list(cfg.prefs)}
+def cmd_park(args: argparse.Namespace) -> int:
+    outcome = simulate_parking(args.sizes, args.z, args.prefs)
+    record: dict = {"sizes": list(args.sizes), "z": args.z, "prefs": list(args.prefs)}
     if isinstance(outcome, Parked):
         layout = outcome.layout.render()
         record.update(outcome="parked", layout=layout)
@@ -162,18 +122,20 @@ def cmd_park(cfg: RunConfig) -> int:
                 f" from spot {outcome.first_empty}"
             )
         code = EXIT_FAILURE
-    _emit(cfg, [record], [plain], PARK_COLUMNS)
+    _emit(args.fmt, [record], [plain], PARK_COLUMNS)
     return code
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    formula = count_by_formula(cfg.sizes, cfg.z)
-    record: dict = {"sizes": list(cfg.sizes), "z": cfg.z, "formula": formula}
-    if not cfg.do_enumerate:
-        _emit(cfg, [record], [str(formula)], COUNT_COLUMNS)
+def cmd_count(args: argparse.Namespace) -> int:
+    budget = _default_budget() if args.budget is None else args.budget
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    formula = count_by_formula(args.sizes, args.z)
+    record: dict = {"sizes": list(args.sizes), "z": args.z, "formula": formula}
+    if not args.do_enumerate:
+        _emit(args.fmt, [record], [str(formula)], COUNT_COLUMNS)
         return EXIT_OK
-    budget = None if cfg.force else cfg.budget
-    report = count_report(cfg.sizes, cfg.z, budget=budget)
+    report = count_report(args.sizes, args.z, budget=None if args.force else budget)
     record.update(
         enumerated=report.enumerated,
         match=report.match,
@@ -181,9 +143,9 @@ def cmd_count(cfg: RunConfig) -> int:
     )
     plain = (
         f"formula={report.formula} enumerated={report.enumerated}"
-        f" match={_bool_text(report.match)}"
+        f" match={_cell(report.match)}"
     )
-    _emit(cfg, [record], [plain], COUNT_COLUMNS)
+    _emit(args.fmt, [record], [plain], COUNT_COLUMNS)
     return EXIT_OK if report.match else EXIT_FAILURE
 
 
@@ -193,11 +155,11 @@ def _subsets(n: int, include_empty: bool) -> Iterator[IndexSet]:
             yield IndexSet(combo)
 
 
-def _rows_recurrence(cfg: RunConfig) -> Iterator[dict]:
-    for n in range(cfg.n_max + 1):
-        for sizes in product(range(1, cfg.y_max + 1), repeat=n):
-            for nxt in range(1, cfg.y_max + 1):
-                for z in range(1, cfg.z_max + 1):
+def _rows_recurrence(args: argparse.Namespace) -> Iterator[dict]:
+    for n in range(args.n_max + 1):
+        for sizes in product(range(1, args.y_max + 1), repeat=n):
+            for nxt in range(1, args.y_max + 1):
+                for z in range(1, args.z_max + 1):
                     report = verify_recurrence(sizes, nxt, z)
                     yield {
                         "suite": "recurrence",
@@ -208,23 +170,20 @@ def _rows_recurrence(cfg: RunConfig) -> Iterator[dict]:
                     }
 
 
-def _rows_identity(cfg: RunConfig, name: str) -> Iterator[dict]:
-    if cfg.ground is not None:
-        grounds: Iterable[IndexSet] = [IndexSet(cfg.ground)]
+def _rows_identity(args: argparse.Namespace, name: str, ground: IndexSet | None) -> Iterator[dict]:
+    if ground is not None:
+        grounds: Iterable[IndexSet] = [ground]
     else:
-        grounds = _subsets(cfg.n_max, include_empty=name != "easy")
+        grounds = _subsets(args.n_max, include_empty=name != "easy")
     for A in grounds:
         if name == "easy" and not A:
             raise ValueError("the easy identity needs a nonempty --set")
-        if cfg.randomized or len(A) > SYMBOLIC_BUDGET:
-            ok = random_identity_check(name, A, trials=cfg.trials, seed=cfg.seed)
-            if A:
-                first = ParameterAssignment.random_for(A, random.Random(cfg.seed))
-                lhs, rhs = identity_value_sides(name, A, first)
-            else:
-                lhs = rhs = 1
-            instance = f"A={{{_csv(A)}}} randomized trials={cfg.trials} seed={cfg.seed}"
-            yield {"suite": name, "instance": instance, "lhs": lhs, "rhs": rhs, "match": ok}
+        if args.randomized or len(A) > SYMBOLIC_BUDGET:
+            sides = _trial_sides(name, A, args.trials, args.seed)
+            lhs, rhs = next(sides)  # the row shows the first trial's sides
+            match = lhs == rhs and all(left == right for left, right in sides)
+            instance = f"A={{{_csv(A)}}} randomized trials={args.trials} seed={args.seed}"
+            yield {"suite": name, "instance": instance, "lhs": lhs, "rhs": rhs, "match": match}
         else:
             lhs_p, rhs_p = identity_sides(name, A)
             yield {
@@ -236,10 +195,10 @@ def _rows_identity(cfg: RunConfig, name: str) -> Iterator[dict]:
             }
 
 
-def _rows_specialization(cfg: RunConfig) -> Iterator[dict]:
-    for n in range(cfg.n_max + 1):
-        for sizes in product(range(1, cfg.y_max + 1), repeat=n):
-            for z in range(1, cfg.z_max + 1):
+def _rows_specialization(args: argparse.Namespace) -> Iterator[dict]:
+    for n in range(args.n_max + 1):
+        for sizes in product(range(1, args.y_max + 1), repeat=n):
+            for z in range(1, args.z_max + 1):
                 lhs = f_as_t_specialization(sizes, z)
                 rhs = count_by_formula(sizes, z)
                 yield {
@@ -251,55 +210,55 @@ def _rows_specialization(cfg: RunConfig) -> Iterator[dict]:
                 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.n_max < 0 or cfg.y_max < 1 or cfg.z_max < 1:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if args.n_max < 0 or args.y_max < 1 or args.z_max < 1:
         raise ValueError(
-            f"invalid sweep ranges: n_max={cfg.n_max} y_max={cfg.y_max} z_max={cfg.z_max}"
+            f"invalid sweep ranges: n_max={args.n_max} y_max={args.y_max} z_max={args.z_max}"
         )
-    suites = [cfg.suite] if cfg.suite != "all" else [
-        "recurrence", "easy", "sheffer", "binomial", "specialization",
-    ]
+    ground = None if args.ground is None else IndexSet(args.ground)
     rows: list[dict] = []
-    for suite in suites:
+    for suite in SUITES[:-1] if args.suite == "all" else [args.suite]:
         if suite == "recurrence":
-            rows.extend(_rows_recurrence(cfg))
+            rows.extend(_rows_recurrence(args))
         elif suite == "specialization":
-            rows.extend(_rows_specialization(cfg))
+            rows.extend(_rows_specialization(args))
         else:
-            rows.extend(_rows_identity(cfg, suite))
+            rows.extend(_rows_identity(args, suite, ground))
     plain = [
         f"{row['suite']} {row['instance']}: lhs={row['lhs']} rhs={row['rhs']}"
-        f" match={_bool_text(row['match'])}"
+        f" match={_cell(row['match'])}"
         for row in rows
     ]
-    _emit(cfg, rows, plain, VERIFY_COLUMNS)
+    _emit(args.fmt, rows, plain, VERIFY_COLUMNS)
     return EXIT_OK if all(row["match"] for row in rows) else EXIT_FAILURE
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    if not 0 <= cfg.n_max <= 12:
-        raise ValueError(f"table needs 0 <= n_max <= 12, got {cfg.n_max}")
-    if cfg.z_max < 1:
-        raise ValueError(f"z_max must be >= 1, got {cfg.z_max}")
-    if cfg.family == "pattern" and not cfg.pattern:
+def cmd_table(args: argparse.Namespace) -> int:
+    if not 0 <= args.n_max <= 12:
+        raise ValueError(f"table needs 0 <= n_max <= 12, got {args.n_max}")
+    if args.z_max < 1:
+        raise ValueError(f"z_max must be >= 1, got {args.z_max}")
+    if args.family == "pattern" and not args.pattern:
         raise ValueError("--pattern is required for the pattern family")
-    if cfg.family == "const" and cfg.car < 1:
-        raise ValueError(f"--car must be >= 1, got {cfg.car}")
+    if args.family == "const" and args.car < 1:
+        raise ValueError(f"--car must be >= 1, got {args.car}")
 
     def sizes_for(n: int) -> tuple[int, ...]:
-        if cfg.family == "ones":
+        if args.family == "ones":
             return (1,) * n
-        if cfg.family == "const":
-            return (cfg.car,) * n
-        return tuple(islice(cycle(cfg.pattern), n))
+        if args.family == "const":
+            return (args.car,) * n
+        return tuple(islice(cycle(args.pattern), n))
 
     rows = []
-    for n in range(cfg.n_max + 1):
-        for z in range(1, cfg.z_max + 1):
+    for n in range(args.n_max + 1):
+        for z in range(1, args.z_max + 1):
             count = count_by_formula(sizes_for(n), z)
-            rows.append({"family": cfg.family, "n": n, "z": z, "count": count})
+            rows.append({"family": args.family, "n": n, "z": z, "count": count})
     plain = [f"n={row['n']} z={row['z']} count={row['count']}" for row in rows]
-    _emit(cfg, rows, plain, TABLE_COLUMNS)
+    _emit(args.fmt, rows, plain, TABLE_COLUMNS)
     return EXIT_OK
 
 
@@ -381,13 +340,6 @@ def _default_budget() -> int:
         raise ValueError(f"PARKSEQ_BUDGET must be an integer, got {raw!r}")
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    if args.subcommand == "count" and getattr(args, "budget", None) is None:
-        fields["budget"] = _default_budget()
-    return RunConfig(**fields)
-
-
 _DISPATCH = {
     "park": cmd_park,
     "count": cmd_count,
@@ -402,9 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the problem
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = _config_from(args)
         with _exact_int_text():
-            return _DISPATCH[cfg.subcommand](cfg)
+            return _DISPATCH[args.subcommand](args)
     except EnumerationBudgetError as exc:
         print(
             f"error: {exc}; raise it with --budget N or PARKSEQ_BUDGET=N,"

@@ -42,7 +42,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping
 
 from .core import SizesLike, as_car_sizes
 from .counting import (
@@ -299,6 +299,23 @@ def identity_value_sides(
     return math.prod(_factors(A, family, z + w, y, x)), rhs
 
 
+def _trial_sides(
+    identity: str, A: IndexSet, trials: int, seed: int, omit=None
+) -> Iterator[tuple[int, int]]:
+    """The exact ``(lhs, rhs)`` of each trial, at points drawn from ``seed``.
+
+    The one place the trials are seeded: trial k evaluates the k-th
+    assignment drawn from ``random.Random(seed)``.  On the empty ground set
+    every identity is 1 = 1, yielded once.
+    """
+    if not A:
+        yield 1, 1
+        return
+    rng = random.Random(seed)
+    for _ in range(trials):
+        yield identity_value_sides(identity, A, ParameterAssignment.random_for(A, rng), omit=omit)
+
+
 def random_identity_check(
     identity: IdentityName,
     A: IndexSet | Iterable[int],
@@ -328,15 +345,7 @@ def random_identity_check(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     omit = _omitted_split(identity, A, omit)
-    if not A:
-        return True
-    rng = random.Random(seed)
-    for _ in range(trials):
-        assignment = ParameterAssignment.random_for(A, rng)
-        lhs, rhs = identity_value_sides(identity, A, assignment, omit=omit)
-        if lhs != rhs:
-            return False
-    return True
+    return all(lhs == rhs for lhs, rhs in _trial_sides(identity, A, trials, seed, omit))
 
 
 def _parking_point(sizes: tuple[int, ...]) -> tuple[IndexSet, dict, dict]:

@@ -12,6 +12,7 @@ import pytest
 import parkseq
 from parkseq.cli import main
 from parkseq.counting import count_by_formula
+from parkseq.strehl import identity_value_sides
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,11 @@ class TestPark:
         code, out, _ = run_cli(capsys, "park", "--sizes", "1,2", "--z", "1", "--prefs", "2,1")
         assert code == 1
         assert "collision" in out
+
+    def test_bad_env_budget_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARKSEQ_BUDGET", "x")
+        code, out, err = run_cli(capsys, "park", "--sizes", "2,2,1", "--z", "4", "--prefs", "5,6,2")
+        assert (code, out, err) == (0, "T T T C3 C1 C1 C2 C2\n", "")
 
     def test_invalid_preference_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "park", "--sizes", "2,1", "--z", "1", "--prefs", "9,1")
@@ -176,6 +182,37 @@ class TestCount:
         assert code == 0
         assert "match=true" in out
 
+    @pytest.mark.parametrize(
+        "env,argv",
+        [
+            (None, ("--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "0")),
+            ("0", ("--sizes", "2,2,1", "--z", "4", "--enumerate")),
+            ("0", ("--sizes", "2,2,1", "--z", "4")),
+            (None, ("--sizes", "2", "--z", "1", "--enumerate", "--budget", "-1", "--force")),
+            (None, ("--sizes", "0", "--z", "1", "--budget", "0")),  # budget before sizes
+        ],
+    )
+    def test_budget_below_one_is_refused(self, capsys, monkeypatch, env, argv):
+        if env is not None:
+            monkeypatch.setenv("PARKSEQ_BUDGET", env)
+        budget = argv[argv.index("--budget") + 1] if "--budget" in argv else env
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert (code, out, err) == (2, "", f"error: budget must be >= 1, got {budget}\n")
+
+    def test_bad_env_budget_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARKSEQ_BUDGET", "x")
+        code, out, err = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", "4")
+        assert (code, out, err) == (2, "", "error: PARKSEQ_BUDGET must be an integer, got 'x'\n")
+
+    def test_flag_budget_skips_the_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARKSEQ_BUDGET", "x")
+        code, out, err = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", "4", "--budget", "5")
+        assert (code, out, err) == (0, "288\n", "")
+
+    def test_env_budget_longer_than_int_digit_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARKSEQ_BUDGET", "1" + "0" * 4300)
+        code, out, err = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate")
+        assert (code, out, err) == (0, "formula=288 enumerated=288 match=true\n", "")
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int digit limit"
@@ -296,6 +333,56 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "easy", "--set", "")
         assert code == 2
         assert "nonempty" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "sheffer", "--trials", "0"),
+            ("verify", "all", "--n-max", "-1", "--trials", "0"),  # trials before ranges
+        ],
+    )
+    def test_trials_below_one_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: trials must be >= 1, got 0\n")
+
+    def test_randomized_row_evaluates_exactly_its_trials(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return identity_value_sides(*args, **kwargs)
+
+        for module in ("parkseq.strehl", "parkseq.cli"):
+            monkeypatch.setattr(f"{module}.identity_value_sides", counted, raising=False)
+        code, out, _ = run_cli(capsys, "verify", "sheffer", "--set", "1,2,3,4,5,6", "--trials", "5")
+        assert code == 0
+        assert out.endswith(" match=true\n")
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "recurrence", "--set", "5,1"),
+            ("verify", "specialization", "--set", "5,1"),
+            ("verify", "all", "--set", "5,1", "--n-max", "6"),
+        ],
+    )
+    def test_malformed_set_is_refused_before_any_suite_runs(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran before --set was checked")
+
+        for name in ("verify_recurrence", "f_as_t_specialization"):
+            monkeypatch.setattr(f"parkseq.cli.{name}", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        expected = "error: index set must be strictly increasing, got (5, 1)\n"
+        assert (code, out, err) == (2, "", expected)
+
+    def test_valid_set_is_ignored_by_the_sweeps(self, capsys):
+        sweep = ("--n-max", "2", "--y-max", "2", "--z-max", "2")
+        for suite in ("recurrence", "specialization"):
+            _, plain, _ = run_cli(capsys, "verify", suite, *sweep)
+            code, out, err = run_cli(capsys, "verify", suite, "--set", "1,4", *sweep)
+            assert (code, out, err) == (0, plain, "")
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "nonsense")

@@ -1,7 +1,7 @@
 """Simulator unit tests and invariants."""
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkseq.core import (
@@ -147,14 +147,55 @@ def test_failure_outcomes_satisfy_their_invariants(case):
         assert outcome.first_empty is None or outcome.first_empty + y - 1 > m
 
 
-@settings(suppress_health_check=[HealthCheck.filter_too_much], max_examples=300)
+@st.composite
+def no_spot_overflows(draw, max_n=4, max_y=3, max_z=4):
+    """A (sizes, z, prefs, i) in which car i sees no empty spot at or after its preference.
+
+    The cars before i fill disjoint blocks past the trailer, in a drawn left
+    to right order with drawn free spots between them and none after the
+    last block, so one block ends at the last spot.  Each of those cars
+    prefers its block's first spot or a spot in the occupied run just
+    before it, so it parks exactly there, and car i prefers a spot in the
+    occupied run that ends at the last spot.
+    """
+    n = draw(st.integers(2, max_n))
+    sizes = tuple(draw(st.lists(st.integers(1, max_y), min_size=n, max_size=n)))
+    z = draw(st.integers(1, max_z))
+    m = z - 1 + sum(sizes)
+    i = draw(st.integers(2, n))
+    order = draw(st.permutations(range(1, i)))
+    free = sum(sizes[i - 1 :])
+    gap_of = draw(st.lists(st.integers(0, i - 2), min_size=free, max_size=free))
+    start, spot = {}, z
+    for slot, car in enumerate(order):
+        spot += gap_of.count(slot)
+        start[car] = spot
+        spot += sizes[car - 1]
+    assert spot == m + 1
+    occupied = [True] * z + [False] * (m + 1 - z)  # 1-based: the trailer, then empty spots
+
+    def run_start(last: int) -> int:
+        while last > 1 and occupied[last - 1]:
+            last -= 1
+        return last
+
+    prefs = []
+    for car in range(1, i):
+        prefs.append(draw(st.integers(run_start(start[car]), start[car])))
+        for k in range(start[car], start[car] + sizes[car - 1]):
+            occupied[k] = True
+    prefs.append(draw(st.integers(run_start(m), m)))
+    prefs += draw(st.lists(st.integers(1, m), min_size=n - i, max_size=n - i))
+    return sizes, z, tuple(prefs), i
+
+
+@settings(max_examples=300)
 @given(st.data())
 def test_no_spot_overflow_is_monotone_in_preference(data):
     """Raising the preference cannot rescue a car that saw no empty spot."""
-    sizes, z, prefs = data.draw(instances())
+    sizes, z, prefs, i = data.draw(no_spot_overflows())
     outcome = simulate_parking(sizes, z, prefs)
-    assume(isinstance(outcome, Overflow) and outcome.first_empty is None)
-    i = outcome.car
+    assert outcome == Overflow(car=i, first_empty=None)
     m = z - 1 + sum(sizes)
     bumped = data.draw(st.integers(prefs[i - 1], m))
     mutated = prefs[: i - 1] + (bumped,) + prefs[i:]
