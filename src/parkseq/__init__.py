@@ -14,8 +14,6 @@ from .core import (
     Overflow,
     Parked,
     ParkingOutcome,
-    PreferenceVector,
-    TrailerLot,
     is_parking_sequence,
     simulate_parking,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "Overflow",
     "Parked",
     "ParkingOutcome",
-    "PreferenceVector",
-    "TrailerLot",
     "is_parking_sequence",
     "simulate_parking",
     "DEFAULT_BUDGET",

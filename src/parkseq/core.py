@@ -20,7 +20,6 @@ TRAILER = 0
 Cell = Optional[int]  # None = empty, TRAILER = trailer block, i >= 1 = car i
 
 SizesLike = Union["CarSizeVector", Sequence[int]]
-PrefsLike = Union["PreferenceVector", Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -48,60 +47,6 @@ class CarSizeVector:
 
     def __len__(self) -> int:
         return len(self.sizes)
-
-
-@dataclass(frozen=True)
-class TrailerLot:
-    """Trailer parameter paired with the fleet it must accommodate.
-
-    The trailer fills spots ``1 .. z-1``; the lot length is always derived
-    from ``z`` and the car sizes, never stored.
-    """
-
-    z: int
-    cars: CarSizeVector
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.z, int) or self.z < 1:
-            raise ValueError(f"trailer parameter z must be an integer >= 1, got {self.z!r}")
-
-    @property
-    def length(self) -> int:
-        return self.z - 1 + self.cars.total
-
-
-@dataclass(frozen=True)
-class PreferenceVector:
-    """Preferred spots, one per car, in arrival order."""
-
-    prefs: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefs", tuple(self.prefs))
-        for c in self.prefs:
-            if not isinstance(c, int) or c < 1:
-                raise ValueError(f"preferred spots must be integers >= 1, got {c!r}")
-
-    def validate_for(self, lot: TrailerLot) -> None:
-        """Reject tuples that do not pair with the lot.
-
-        A wrong length or a preference past the last spot is malformed input,
-        not a failed parking attempt.
-        """
-        if len(self.prefs) != lot.cars.n:
-            raise ValueError(
-                f"{len(self.prefs)} preferences given for {lot.cars.n} cars"
-            )
-        m = lot.length
-        for i, c in enumerate(self.prefs, start=1):
-            if c > m:
-                raise ValueError(f"car {i} prefers spot {c} but the lot ends at spot {m}")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.prefs)
-
-    def __len__(self) -> int:
-        return len(self.prefs)
 
 
 @dataclass(frozen=True)
@@ -181,28 +126,39 @@ def as_car_sizes(value: SizesLike) -> CarSizeVector:
     return value if isinstance(value, CarSizeVector) else CarSizeVector(tuple(value))
 
 
-def as_preferences(value: PrefsLike) -> PreferenceVector:
-    return value if isinstance(value, PreferenceVector) else PreferenceVector(tuple(value))
+def _check_z(z: int) -> None:
+    """The one check of the trailer parameter, shared by every entry point."""
+    if not isinstance(z, int) or z < 1:
+        raise ValueError(f"trailer parameter z must be an integer >= 1, got {z!r}")
 
 
-def simulate_parking(sizes: SizesLike, z: int, prefs: PrefsLike) -> ParkingOutcome:
+def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingOutcome:
     """Park every car by the greedy rule and report how the attempt ended.
 
     Cars are processed in order 1..n.  Car ``i`` takes the minimal empty spot
     ``j >= c_i`` and parks in ``j .. j + y_i - 1`` iff all those spots exist
     and are empty.  The first failure is returned as ``Collision`` or
-    ``Overflow``; malformed input raises ``ValueError`` instead.
+    ``Overflow``; malformed input raises ``ValueError`` instead.  A wrong
+    number of preferences or a preference past the last spot is malformed
+    input, not a failed parking attempt.
     """
     cars = as_car_sizes(sizes)
-    lot = TrailerLot(z, cars)
-    pv = as_preferences(prefs)
-    pv.validate_for(lot)
+    _check_z(z)
+    prefs = tuple(prefs)
+    for c in prefs:
+        if not isinstance(c, int) or c < 1:
+            raise ValueError(f"preferred spots must be integers >= 1, got {c!r}")
+    if len(prefs) != cars.n:
+        raise ValueError(f"{len(prefs)} preferences given for {cars.n} cars")
+    m = z - 1 + cars.total
+    for i, c in enumerate(prefs, start=1):
+        if c > m:
+            raise ValueError(f"car {i} prefers spot {c} but the lot ends at spot {m}")
 
-    m = lot.length
     cells: list[Cell] = [None] * (m + 1)  # 1-based; cells[0] unused
     for k in range(1, z):
         cells[k] = TRAILER
-    for i, (y, c) in enumerate(zip(cars.sizes, pv.prefs), start=1):
+    for i, (y, c) in enumerate(zip(cars.sizes, prefs), start=1):
         j = c
         while j <= m and cells[j] is not None:
             j += 1
@@ -218,6 +174,6 @@ def simulate_parking(sizes: SizesLike, z: int, prefs: PrefsLike) -> ParkingOutco
     return Parked(LotLayout(tuple(cells[1:])))
 
 
-def is_parking_sequence(sizes: SizesLike, z: int, prefs: PrefsLike) -> bool:
+def is_parking_sequence(sizes: SizesLike, z: int, prefs: Sequence[int]) -> bool:
     """True iff the attempt returns ``Parked``."""
     return isinstance(simulate_parking(sizes, z, prefs), Parked)

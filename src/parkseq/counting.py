@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import SizesLike, as_car_sizes
+from .core import SizesLike, _check_z, as_car_sizes
 
 DEFAULT_BUDGET = 10**8
 PARTITION_LIMIT = 30
@@ -59,6 +59,10 @@ class IndexSet(tuple):
         return cls(range(1, n + 1))
 
 
+def _as_index_set(A: IndexSet | Iterable[int]) -> IndexSet:
+    return A if isinstance(A, IndexSet) else IndexSet(A)
+
+
 @dataclass(frozen=True)
 class CountReport:
     """Two independently computed counts and whether they agree.
@@ -83,11 +87,6 @@ class CountReport:
     @classmethod
     def compare(cls, enumerated: int, formula: int, tuples_scanned: int) -> "CountReport":
         return cls(enumerated, formula, enumerated == formula, tuples_scanned)
-
-
-def _check_z(z: int) -> None:
-    if not isinstance(z, int) or z < 1:
-        raise ValueError(f"trailer parameter z must be an integer >= 1, got {z!r}")
 
 
 def count_by_formula(sizes: SizesLike, z: int) -> int:
@@ -224,7 +223,7 @@ def partitions_into_two(
     set's characteristic bitmask (bit b set means the b-th smallest element
     belongs to the left set).
     """
-    g = ground if isinstance(ground, IndexSet) else IndexSet(ground)
+    g = _as_index_set(ground)
     _check_partition_count(len(g))
     return _partition_stream(g)
 

@@ -111,6 +111,25 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
+def _canonical_terms(entries: Iterable[tuple[object, int]]) -> dict[Monomial, int]:
+    """Canonical term map of (powers, coefficient) pairs.
+
+    Refuses non-integer coefficients, canonicalizes each monomial, merges
+    duplicates and drops the terms that cancel to zero.
+    """
+    out: dict[Monomial, int] = {}
+    for powers, coeff in entries:
+        if not isinstance(coeff, int):
+            raise ValueError(f"coefficients must be integers, got {coeff!r}")
+        mono = monomial(powers)
+        merged = out.get(mono, 0) + coeff
+        if merged:
+            out[mono] = merged
+        else:
+            out.pop(mono, None)
+    return out
+
+
 class _PowerText(dict):
     """``name`` or ``name^e`` for each (variable, exponent) pair, rendered once."""
 
@@ -129,17 +148,7 @@ class SparsePolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        canonical: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
-                raise ValueError(f"coefficients must be integers, got {coeff!r}")
-            mono = monomial(mono)
-            merged = canonical.get(mono, 0) + coeff
-            if merged:
-                canonical[mono] = merged
-            else:
-                canonical.pop(mono, None)
-        self._terms = canonical
+        self._terms = _canonical_terms((terms or {}).items())
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "SparsePolynomial":
@@ -153,15 +162,7 @@ class SparsePolynomial:
         cls, entries: Iterable[tuple[Mapping[Variable, int], int]]
     ) -> "SparsePolynomial":
         """Build from (powers mapping, coefficient) pairs, merging duplicates."""
-        out: dict[Monomial, int] = {}
-        for powers, coeff in entries:
-            mono = monomial(powers)
-            merged = out.get(mono, 0) + coeff
-            if merged:
-                out[mono] = merged
-            else:
-                out.pop(mono, None)
-        return cls._raw(out)
+        return cls._raw(_canonical_terms(entries))
 
     @property
     def terms(self) -> dict[Monomial, int]:

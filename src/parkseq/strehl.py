@@ -44,12 +44,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Literal, Mapping
 
-from .core import SizesLike, as_car_sizes
+from .core import SizesLike, _check_z, as_car_sizes
 from .counting import (
     CountReport,
     IndexSet,
+    _as_index_set,
     _check_partition_count,
-    _check_z,
     count_by_formula,
     partitions_into_two,
 )
@@ -67,10 +67,6 @@ from .poly import (
 SYMBOLIC_BUDGET = 5
 IdentityName = Literal["easy", "sheffer", "binomial"]
 _IDENTITIES = ("easy", "sheffer", "binomial")
-
-
-def _as_index_set(A: IndexSet | Iterable[int]) -> IndexSet:
-    return A if isinstance(A, IndexSet) else IndexSet(A)
 
 
 def _join(side: tuple, b: int, y: Mapping, x: Mapping) -> tuple:
@@ -363,8 +359,7 @@ def f_as_t_specialization(sizes: SizesLike, z_val: int) -> int:
     for every input.
     """
     cars = as_car_sizes(sizes)
-    if not isinstance(z_val, int) or z_val < 1:
-        raise ValueError(f"trailer parameter must be an integer >= 1, got {z_val!r}")
+    _check_z(z_val)
     A, y, x = _parking_point(cars.sizes)
     return math.prod(_factors(A, "t", z_val, y, x))
 

@@ -14,11 +14,9 @@ PUBLIC_NAMES = [
     "ParameterAssignment",
     "Parked",
     "ParkingOutcome",
-    "PreferenceVector",
     "SYMBOLIC_BUDGET",
     "SparsePolynomial",
     "TRAILER",
-    "TrailerLot",
     "Variable",
     "W",
     "Z",

@@ -65,6 +65,23 @@ class TestPark:
         code, out, err = run_cli(capsys, "park", "--sizes", "2,2,1", "--z", "4", "--prefs", "5,6,2")
         assert (code, out, err) == (0, "T T T C3 C1 C1 C2 C2\n", "")
 
+    @pytest.mark.parametrize(
+        "sizes,z,prefs,message",
+        [
+            ("1,1", "0", "1,1", "trailer parameter z must be an integer >= 1, got 0"),
+            ("1,0", "1", "1,1", "car sizes must be integers >= 1, got 0"),
+            ("1,1", "1", "0,1", "preferred spots must be integers >= 1, got 0"),
+            ("1,1", "1", "1", "1 preferences given for 2 cars"),
+            ("1,1", "1", "3,1,1", "3 preferences given for 2 cars"),
+            ("1,1", "1", "1,5", "car 2 prefers spot 5 but the lot ends at spot 2"),
+            ("1,1", "0", "0", "trailer parameter z must be an integer >= 1, got 0"),
+            ("1,1", "1", "3,-1", "preferred spots must be integers >= 1, got -1"),
+        ],
+    )
+    def test_input_errors_are_pinned(self, capsys, sizes, z, prefs, message):
+        code, out, err = run_cli(capsys, "park", "--sizes", sizes, "--z", z, "--prefs", prefs)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_invalid_preference_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "park", "--sizes", "2,1", "--z", "1", "--prefs", "9,1")
         assert code == 2

@@ -1,5 +1,7 @@
 """Simulator unit tests and invariants."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +12,11 @@ from parkseq.core import (
     Collision,
     Overflow,
     Parked,
-    PreferenceVector,
-    TrailerLot,
     is_parking_sequence,
     simulate_parking,
 )
+from parkseq.counting import count_by_enumeration, count_by_formula, count_report
+from parkseq.strehl import f_as_t_specialization, verify_recurrence
 
 
 @st.composite
@@ -101,9 +103,37 @@ def test_invalid_sizes_and_z():
     with pytest.raises(ValueError):
         CarSizeVector((1, 0))
     with pytest.raises(ValueError):
-        TrailerLot(0, CarSizeVector((1,)))
+        simulate_parking((1,), 0, (1,))
     with pytest.raises(ValueError):
-        PreferenceVector((1, -2))
+        simulate_parking((1, 1), 1, (1, -2))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda z: simulate_parking((1,), z, (1,)),
+        lambda z: is_parking_sequence((1,), z, (1,)),
+        lambda z: count_by_formula((1,), z),
+        lambda z: count_report((1,), z),
+        lambda z: count_by_enumeration((1,), z),
+        lambda z: verify_recurrence((1,), 1, z),
+        lambda z: f_as_t_specialization((1,), z),
+    ],
+    ids=[
+        "simulate_parking",
+        "is_parking_sequence",
+        "count_by_formula",
+        "count_report",
+        "count_by_enumeration",
+        "verify_recurrence",
+        "f_as_t_specialization",
+    ],
+)
+@pytest.mark.parametrize("z", [0, -3])
+def test_every_entry_point_refuses_z_with_one_message(entry, z):
+    message = f"trailer parameter z must be an integer >= 1, got {z}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(z)
 
 
 def test_trailer_inside_preference_zone_is_allowed():

@@ -64,6 +64,19 @@ def test_zero_coefficients_never_stored():
     assert (poly(Z) - poly(Z)).is_zero()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SparsePolynomial({((Z, 1),): 1.5}),
+        lambda: SparsePolynomial.from_terms([({Z: 1}, 1.5)]),
+    ],
+    ids=["init", "from_terms"],
+)
+def test_float_coefficients_are_refused(build):
+    with pytest.raises(ValueError, match=r"^coefficients must be integers, got 1\.5$"):
+        build()
+
+
 def test_additive_and_multiplicative_identities():
     p = (poly(Z) + 2) * poly(y_var(1))
     assert p + 0 == p
