@@ -10,8 +10,6 @@ bytes are a pure function of the flags (including ``--seed``).
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -78,6 +76,7 @@ def _emit(fmt: str, records: list[dict], plain_lines: list[str], columns: tuple[
         for line in plain_lines:
             print(line)
     elif fmt == "json":
+        import json  # only --format json pays for loading the encoder
         for record in records:
             print(json.dumps(record))
     else:
@@ -88,6 +87,7 @@ def _emit(fmt: str, records: list[dict], plain_lines: list[str], columns: tuple[
 
 def _digest(p: SparsePolynomial) -> str:
     """Short stable fingerprint of a canonical polynomial for table cells."""
+    import hashlib  # loads OpenSSL; only symbolic rows need it
     text = str(p)
     return f"t{len(p.terms)}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 

@@ -13,8 +13,7 @@ occupancy row; tests hold it to `simulate_parking`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 TRAILER = 0
 Cell = Optional[int]  # None = empty, TRAILER = trailer block, i >= 1 = car i
@@ -22,35 +21,35 @@ Cell = Optional[int]  # None = empty, TRAILER = trailer block, i >= 1 = car i
 SizesLike = Union["CarSizeVector", Sequence[int]]
 
 
-@dataclass(frozen=True)
-class CarSizeVector:
-    """Ordered car lengths, one positive integer per arriving car."""
+class CarSizeVector(tuple):
+    """Ordered car lengths, one positive integer per arriving car, as a tuple."""
 
-    sizes: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        for y in self.sizes:
-            if not isinstance(y, int) or y < 1:
+    def __new__(cls, sizes: Sequence[int] = ()) -> "CarSizeVector":
+        t = tuple(sizes)
+        for y in t:
+            if not isinstance(y, int) or isinstance(y, bool) or y < 1:
                 raise ValueError(f"car sizes must be integers >= 1, got {y!r}")
+        return super().__new__(cls, t)
+
+    def __repr__(self) -> str:
+        return f"CarSizeVector(sizes={self.sizes!r})"
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.sizes)
+        return len(self)
 
     @property
     def total(self) -> int:
-        return sum(self.sizes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sizes)
-
-    def __len__(self) -> int:
-        return len(self.sizes)
+        return sum(self)
 
 
-@dataclass(frozen=True)
-class LotLayout:
+class LotLayout(NamedTuple):
     """Cell contents of the lot, one entry per spot (spot k is ``cells[k-1]``)."""
 
     cells: tuple[Cell, ...]
@@ -78,7 +77,7 @@ class LotLayout:
                 raise ValueError(f"spot {k} holds {_cell_token(cell)}, trailer zone is 1..{z - 1}")
             if cell is None:
                 raise ValueError(f"spot {k} is empty in a finished layout")
-        for i, y in enumerate(cars.sizes, start=1):
+        for i, y in enumerate(cars, start=1):
             block = [k for k, cell in enumerate(self.cells, start=1) if cell == i]
             if len(block) != y:
                 raise ValueError(f"car {i} occupies {len(block)} spots, its size is {y}")
@@ -94,15 +93,13 @@ def _cell_token(cell: Cell) -> str:
     return f"C{cell}"
 
 
-@dataclass(frozen=True)
-class Parked:
+class Parked(NamedTuple):
     """Every car parked; carries the final layout."""
 
     layout: LotLayout
 
 
-@dataclass(frozen=True)
-class Collision:
+class Collision(NamedTuple):
     """The first empty spot was free but the car's block ran into an occupied spot."""
 
     car: int
@@ -110,8 +107,7 @@ class Collision:
     blocked_at: int
 
 
-@dataclass(frozen=True)
-class Overflow:
+class Overflow(NamedTuple):
     """The car's block would leave the lot, or no empty spot remains at or
     after its preference (``first_empty`` is None in that case)."""
 
@@ -123,12 +119,12 @@ ParkingOutcome = Union[Parked, Collision, Overflow]
 
 
 def as_car_sizes(value: SizesLike) -> CarSizeVector:
-    return value if isinstance(value, CarSizeVector) else CarSizeVector(tuple(value))
+    return value if isinstance(value, CarSizeVector) else CarSizeVector(value)
 
 
 def _check_z(z: int) -> None:
     """The one check of the trailer parameter, shared by every entry point."""
-    if not isinstance(z, int) or z < 1:
+    if not isinstance(z, int) or isinstance(z, bool) or z < 1:
         raise ValueError(f"trailer parameter z must be an integer >= 1, got {z!r}")
 
 
@@ -146,7 +142,7 @@ def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingO
     _check_z(z)
     prefs = tuple(prefs)
     for c in prefs:
-        if not isinstance(c, int) or c < 1:
+        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
             raise ValueError(f"preferred spots must be integers >= 1, got {c!r}")
     if len(prefs) != cars.n:
         raise ValueError(f"{len(prefs)} preferences given for {cars.n} cars")
@@ -158,7 +154,7 @@ def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingO
     cells: list[Cell] = [None] * (m + 1)  # 1-based; cells[0] unused
     for k in range(1, z):
         cells[k] = TRAILER
-    for i, (y, c) in enumerate(zip(cars.sizes, prefs), start=1):
+    for i, (y, c) in enumerate(zip(cars, prefs), start=1):
         j = c
         while j <= m and cells[j] is not None:
             j += 1

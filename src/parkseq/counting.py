@@ -9,7 +9,7 @@ product grows too fast for anything else.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .core import SizesLike, _check_z, as_car_sizes
@@ -41,7 +41,7 @@ class IndexSet(tuple):
     def __new__(cls, elems: Iterable[int] = ()) -> "IndexSet":
         t = tuple(elems)
         for e in t:
-            if not isinstance(e, int) or e < 1:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                 raise ValueError(f"index sets hold integers >= 1, got {e!r}")
         for a, b in zip(t, t[1:]):
             if a >= b:
@@ -63,8 +63,7 @@ def _as_index_set(A: IndexSet | Iterable[int]) -> IndexSet:
     return A if isinstance(A, IndexSet) else IndexSet(A)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(namedtuple("_Counts", "enumerated formula match tuples_scanned")):
     """Two independently computed counts and whether they agree.
 
     ``enumerated`` is the independent route (brute force, or the
@@ -75,14 +74,16 @@ class CountReport:
     recurrence.
     """
 
-    enumerated: int
-    formula: int
-    match: bool
-    tuples_scanned: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.match != (self.enumerated == self.formula):
+    def __new__(cls, enumerated: int, formula: int, match: bool, tuples_scanned: int):
+        if match != (enumerated == formula):
             raise ValueError("match flag inconsistent with the two counts")
+        return super().__new__(cls, enumerated, formula, match, tuples_scanned)
+
+    @classmethod
+    def _make(cls, fields: Iterable[object]) -> "CountReport":
+        return cls(*fields)  # so that _replace is checked too
 
     @classmethod
     def compare(cls, enumerated: int, formula: int, tuples_scanned: int) -> "CountReport":
@@ -105,7 +106,7 @@ def count_by_formula(sizes: SizesLike, z: int) -> int:
     total = z
     prefix = 0
     for k in range(1, n):
-        prefix += cars.sizes[k - 1]
+        prefix += cars[k - 1]
         total *= z + prefix + n - k
     return total
 
@@ -122,7 +123,7 @@ def count_no_trailer(sizes: SizesLike) -> int:
     total = 1
     prefix = 0
     for k in range(1, n):
-        prefix += cars.sizes[k - 1]
+        prefix += cars[k - 1]
         total *= prefix + n - k + 1
     return total
 

@@ -17,7 +17,7 @@ There is no floating point anywhere in this module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple, Union
 
 _FAM_Z = 0
@@ -61,14 +61,14 @@ W = Variable(_FAM_W)
 
 def y_var(j: int) -> Variable:
     """The size parameter attached to index j."""
-    if not isinstance(j, int) or j < 1:
+    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"y index must be an integer >= 1, got {j!r}")
     return Variable(_FAM_Y, j)
 
 
 def x_var(i: int, j: int) -> Variable:
     """The pair parameter attached to indices i < j."""
-    if not isinstance(i, int) or not isinstance(j, int) or not 0 < i < j:
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)) or not 0 < i < j:
         raise ValueError(f"x indices must be integers with 0 < i < j, got ({i!r}, {j!r})")
     return Variable(_FAM_X, i, j)
 
@@ -89,7 +89,7 @@ def monomial(powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) ->
     for v, e in items:
         if not isinstance(v, Variable):
             raise ValueError(f"monomial keys must be Variables, got {v!r}")
-        if not isinstance(e, int) or e < 0:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise ValueError(f"exponent of {v} must be an integer >= 0, got {e!r}")
         merged[v] = merged.get(v, 0) + e
     return tuple(sorted((v, e) for v, e in merged.items() if e))
@@ -119,7 +119,7 @@ def _canonical_terms(entries: Iterable[tuple[object, int]]) -> dict[Monomial, in
     """
     out: dict[Monomial, int] = {}
     for powers, coeff in entries:
-        if not isinstance(coeff, int):
+        if not isinstance(coeff, int) or isinstance(coeff, bool):
             raise ValueError(f"coefficients must be integers, got {coeff!r}")
         mono = monomial(powers)
         merged = out.get(mono, 0) + coeff
@@ -358,14 +358,16 @@ def poly(value: PolyLike) -> SparsePolynomial:
     return p
 
 
-@dataclass(frozen=True)
-class ParameterAssignment:
-    """Integer values for every variable a polynomial may mention."""
+class ParameterAssignment(namedtuple("_Values", "z_val w_val y_vals x_vals")):
+    """Integer values for every variable a polynomial may mention; omitted maps start empty."""
 
-    z_val: int = 0
-    w_val: int = 0
-    y_vals: Mapping[int, int] = field(default_factory=dict)
-    x_vals: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, z_val: int = 0, w_val: int = 0, y_vals: Mapping[int, int] | None = None,
+                x_vals: Mapping[tuple[int, int], int] | None = None) -> "ParameterAssignment":
+        y_vals = {} if y_vals is None else y_vals
+        x_vals = {} if x_vals is None else x_vals
+        return super().__new__(cls, z_val, w_val, y_vals, x_vals)
 
     def value_of(self, v: Variable) -> int:
         try:

@@ -15,7 +15,8 @@ from parkseq.core import (
     is_parking_sequence,
     simulate_parking,
 )
-from parkseq.counting import count_by_enumeration, count_by_formula, count_report
+from parkseq.counting import IndexSet, count_by_enumeration, count_by_formula, count_report
+from parkseq.poly import SparsePolynomial, Z, monomial, x_var, y_var
 from parkseq.strehl import f_as_t_specialization, verify_recurrence
 
 
@@ -134,6 +135,43 @@ def test_every_entry_point_refuses_z_with_one_message(entry, z):
     message = f"trailer parameter z must be an integer >= 1, got {z}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         entry(z)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (lambda: count_by_formula((1,), True), "trailer parameter z must be an integer >= 1"),
+        (lambda: simulate_parking((1,), True, (1,)), "trailer parameter z must be an integer >= 1"),
+        (lambda: CarSizeVector((1, True)), "car sizes must be integers >= 1"),
+        (lambda: count_by_formula((1, True), 1), "car sizes must be integers >= 1"),
+        (lambda: simulate_parking((1,), 1, (True,)), "preferred spots must be integers >= 1"),
+        (lambda: IndexSet((True, 2)), "index sets hold integers >= 1"),
+        (lambda: SparsePolynomial({((Z, 1),): True}), "coefficients must be integers"),
+        (lambda: SparsePolynomial.from_terms([({Z: 1}, True)]), "coefficients must be integers"),
+        (lambda: monomial({Z: True}), "exponent of z must be an integer >= 0"),
+        (lambda: verify_recurrence((1,), True, 1), "next car size must be an integer >= 1"),
+        (lambda: y_var(True), "y index must be an integer >= 1"),
+        (lambda: x_var(True, 2), "x indices must be integers with 0 < i < j"),
+    ],
+    ids=[
+        "z",
+        "simulate_parking-z",
+        "CarSizeVector",
+        "count_by_formula-sizes",
+        "prefs",
+        "IndexSet",
+        "coefficient",
+        "from_terms-coefficient",
+        "exponent",
+        "next_size",
+        "y_var",
+        "x_var",
+    ],
+)
+def test_every_input_check_refuses_bool(entry, message):
+    """``bool`` is an ``int`` subclass, but a flag is never a size, spot, index or count."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}.*True"):
+        entry()
 
 
 def test_trailer_inside_preference_zone_is_allowed():
