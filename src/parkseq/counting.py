@@ -10,24 +10,31 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from math import comb
 from typing import Iterable, Iterator
 
 from .core import SizesLike, _check_z, as_car_sizes
 
-DEFAULT_BUDGET = 10**8
+DEFAULT_BUDGET = 10**5
 PARTITION_LIMIT = 30
 
 
 class EnumerationBudgetError(Exception):
-    """Raised when the preference space is larger than the enumeration budget."""
+    """Raised when the search might visit more states than the enumeration budget.
 
-    def __init__(self, m: int, n: int, total: int, budget: int):
+    ``total`` is the ``m**n`` tuples the search would account for; ``states``
+    is the upper bound on its states that exceeded ``budget``.
+    """
+
+    def __init__(self, m: int, n: int, total: int, budget: int, states: int):
         super().__init__(
-            f"enumerating {total} = {m}^{n} preference tuples exceeds the budget of {budget}"
+            f"enumerating {m}^{n} = {total} preference tuples needs up to {states}"
+            f" search states, past the budget of {budget}"
         )
         self.m = m
         self.n = n
         self.total = total
+        self.states = states
         self.budget = budget
 
 
@@ -128,30 +135,40 @@ def count_no_trailer(sizes: SizesLike) -> int:
     return total
 
 
-def _search(sizes: tuple[int, ...], z: int, m: int) -> tuple[int, int]:
+def _search(sizes: tuple[int, ...], z: int, m: int) -> tuple[int, int, int]:
     """Count parking sequences by a depth-first search over the cars.
 
-    Returns (parked, scanned).  One occupancy row is shared down the search;
-    each car's block is filled before descending and cleared on the way back.
-    Every preference that rolls forward to the same empty spot ``j`` leaves
-    the same row, so car ``k`` takes one branch per empty spot, weighted by
-    the gap back to the previous empty spot.  Preferences past the last empty
-    spot, and blocks that overflow or collide, fail together: they account
-    for ``m**(cars still to come)`` tuples each without being expanded.  The
-    last car's successes are summed without descending.
+    Returns (parked, scanned, states).  One occupancy row is shared down the
+    search; each car's block is filled before descending and cleared on the
+    way back.  Every preference that rolls forward to the same empty spot
+    ``j`` leaves the same row, so car ``k`` takes one branch per empty spot,
+    weighted by the gap back to the previous empty spot.  Preferences past
+    the last empty spot, and blocks that overflow or collide, fail together:
+    they account for ``m**(cars still to come)`` tuples each without being
+    expanded.  The last car's successes are summed without descending.
+
+    What is left to count depends only on the car and the row, so each car
+    keeps the answer for every row it has seen (the transfer-matrix method)
+    and the search visits each reachable (car, row) state once: ``states``
+    counts them, and ``_state_bound`` bounds them.
     """
     n = len(sizes)
     if n == 0:
-        return 1, 1  # the empty tuple parks
+        return 1, 1, 0  # the empty tuple parks
     occ = bytearray(m + 1)  # spot k is occ[k]; occ[0] is never read
     occ[1:z] = b"\x01" * (z - 1)
     fill = [b"\x01" * y for y in sizes]
     clear = [bytes(y) for y in sizes]
     failed_weight = [m ** (n - k - 1) for k in range(n)]
+    seen: list[dict[bytes, tuple[int, int]]] = [{} for _ in range(n)]
     last = n - 1
 
     def descend(k: int) -> tuple[int, int]:
         """(parked, scanned) over every preference tail for cars k..n-1."""
+        row = bytes(occ)
+        known = seen[k].get(row)
+        if known is not None:
+            return known
         y = sizes[k]
         parked = scanned = 0
         fitted = 0  # preferences under which car k parks
@@ -171,10 +188,51 @@ def _search(sizes: tuple[int, ...], z: int, m: int) -> tuple[int, int]:
             prev = j
             j = occ.find(0, j + 1)
         if k == last:
-            return fitted, m
-        return parked, scanned + (m - fitted) * failed_weight[k]
+            known = fitted, m
+        else:
+            known = parked, scanned + (m - fitted) * failed_weight[k]
+        seen[k][row] = known
+        return known
 
-    return descend(0)
+    parked, scanned = descend(0)
+    return parked, scanned, sum(map(len, seen))
+
+
+def _state_bound(sizes: tuple[int, ...]) -> int:
+    """Upper bound on the (car, row) states ``_search`` visits.
+
+    Before car k the free length L = sum(sizes) holds the first k cars,
+    Y_k spots in all, so its row is one of C(L, Y_k) 0/1 strings; it is also
+    those k blocks in one of M_k left-to-right orders of their sizes (a
+    multinomial) with the L - Y_k empty spots spread over k + 1 gaps.  The
+    bound sums the smaller of the two over k < n; the second is exact for
+    equal sizes.
+    """
+    free = sum(sizes)
+    bound = placed = 0
+    orders = 1
+    for k, y in enumerate(sizes):
+        blocks = orders * comb(free - placed + k, k)
+        bound += min(blocks, _comb_past(free, placed, blocks))
+        orders = orders * (k + 1) // sizes[: k + 1].count(y)
+        placed += y
+    return bound
+
+
+def _comb_past(n: int, k: int, cap: int) -> int:
+    """C(n, k), or a number past ``cap`` as soon as the product passes it.
+
+    ``math.comb`` on the free length of a fleet of large cars can take
+    seconds; the partial products C(n - k + j, j) rise with j, so the loop
+    stops after at most about log2(cap) steps.
+    """
+    k = min(k, n - k)
+    c = 1
+    for j in range(1, k + 1):
+        c = c * (n - k + j) // j
+        if c > cap:
+            break
+    return c
 
 
 def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET) -> int:
@@ -184,7 +242,9 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
     consults the closed form.  Tuples that share a prefix share its
     simulation, and a prefix that fails decides all of its tuples at once, so
     the cost follows the parking prefixes rather than ``m**n``; every tuple is
-    still accounted for.  Refuses to start when ``m**n`` exceeds ``budget``
+    still accounted for.  Prefixes that leave the same occupancy row share
+    their future too, so the cost is the number of (car, row) states reached.
+    Refuses to start when an upper bound on those states exceeds ``budget``
     (pass ``budget=None`` to lift the guard) or when the fleet is too long
     for the recursive search (see ``count_report``).
     """
@@ -196,22 +256,27 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
 
     The search recurses once per car, so fleets longer than half the
     interpreter's recursion limit are refused with a ``ValueError`` before
-    it starts; the other half is left to the callers.
+    it starts; the other half is left to the callers.  Then, unless
+    ``budget`` is None, a fleet whose search might visit more than
+    ``budget`` states (``_state_bound``) is refused with an
+    ``EnumerationBudgetError``.  Each state costs roughly 10-16 µs, so the
+    default budget of 10**5 admits runs of up to about 2 s.
     """
     cars = as_car_sizes(sizes)
     _check_z(z)
     m = z - 1 + cars.total
     n = cars.n
-    total = m**n
-    if budget is not None and total > budget:
-        raise EnumerationBudgetError(m, n, total, budget)
     depth = sys.getrecursionlimit() // 2
     if n > depth:
         raise ValueError(
             f"enumerating {n} cars needs a search {n} calls deep, past the limit of {depth}"
             f" (half the interpreter's recursion limit of {sys.getrecursionlimit()})"
         )
-    parked, scanned = _search(cars.sizes, z, m)
+    if budget is not None:
+        states = _state_bound(cars.sizes)
+        if states > budget:
+            raise EnumerationBudgetError(m, n, m**n, budget, states)
+    parked, scanned, _ = _search(cars.sizes, z, m)
     return CountReport.compare(parked, count_by_formula(cars, z), scanned)
 
 

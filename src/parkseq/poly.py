@@ -219,7 +219,7 @@ class SparsePolynomial:
         return q + (-self)
 
     def __mul__(self, other: "PolyLike") -> "SparsePolynomial":
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             if other == 0:
                 return SparsePolynomial._raw({})
             return SparsePolynomial._raw({m: c * other for m, c in self._terms.items()})
@@ -278,9 +278,11 @@ class SparsePolynomial:
 
             def lookup(v: Variable) -> int:
                 try:
-                    return mapping[v]
+                    value = mapping[v]
                 except KeyError:
                     raise ValueError(f"no value assigned to {v}") from None
+                _check_integer(value, v)
+                return value
 
         total = 0
         for mono, coeff in self._terms.items():
@@ -345,21 +347,32 @@ def _coerce(value: object) -> SparsePolynomial | None:
         return value
     if isinstance(value, Variable):
         return SparsePolynomial._raw({((value, 1),): 1})
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return SparsePolynomial._raw({(): value} if value else {})
     return None
 
 
 def poly(value: PolyLike) -> SparsePolynomial:
-    """Coerce an int, a variable, or a polynomial to a polynomial."""
+    """Coerce an int, a variable, or a polynomial to a polynomial; ``bool`` is refused."""
     p = _coerce(value)
     if p is None:
         raise TypeError(f"cannot treat {value!r} as a polynomial")
     return p
 
 
+def _check_integer(value: object, name: object, key: object = None) -> None:
+    """Refuse a value that is not an ``int``, or is a ``bool``, naming where it sat."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        where = name if key is None else f"{name}[{key!r}]"
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
 class ParameterAssignment(namedtuple("_Values", "z_val w_val y_vals x_vals")):
-    """Integer values for every variable a polynomial may mention; omitted maps start empty."""
+    """Integer values for every variable a polynomial may mention; omitted maps start empty.
+
+    Every value must be an ``int`` and not a ``bool``; anything else is
+    refused with a ``ValueError`` naming its field.
+    """
 
     __slots__ = ()
 
@@ -367,6 +380,11 @@ class ParameterAssignment(namedtuple("_Values", "z_val w_val y_vals x_vals")):
                 x_vals: Mapping[tuple[int, int], int] | None = None) -> "ParameterAssignment":
         y_vals = {} if y_vals is None else y_vals
         x_vals = {} if x_vals is None else x_vals
+        _check_integer(z_val, "z_val")
+        _check_integer(w_val, "w_val")
+        for field, values in (("y_vals", y_vals), ("x_vals", x_vals)):
+            for key, value in values.items():
+                _check_integer(value, field, key)
         return super().__new__(cls, z_val, w_val, y_vals, x_vals)
 
     def value_of(self, v: Variable) -> int:

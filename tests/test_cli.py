@@ -158,11 +158,13 @@ class TestCount:
         }
 
     def test_budget_flag_blocks_enumeration(self, capsys):
+        # the search over (2,2,1) reaches at most 8 states, so 7 must refuse
         code, out, err = run_cli(
-            capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "10"
+            capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "7"
         )
         assert code == 2
-        assert "512" in err
+        assert "8^3 = 512 preference tuples needs up to 8 search states" in err
+        assert "budget of 7" in err
         for hint in ("--budget", "PARKSEQ_BUDGET", "--force"):
             assert hint in err
         assert out == ""
@@ -185,10 +187,10 @@ class TestCount:
         assert f"limit of {sys.getrecursionlimit() // 2}" in err
 
     def test_env_budget_is_honoured(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARKSEQ_BUDGET", "10")
+        monkeypatch.setenv("PARKSEQ_BUDGET", "7")
         code, _, err = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate")
         assert code == 2
-        assert "budget of 10" in err
+        assert "up to 8 search states, past the budget of 7" in err
 
     def test_flag_beats_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKSEQ_BUDGET", "10")

@@ -3,13 +3,16 @@
 import itertools
 import re
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkseq import counting
 from parkseq.core import is_parking_sequence
 from parkseq.counting import (
+    DEFAULT_BUDGET,
     CountReport,
     EnumerationBudgetError,
     IndexSet,
@@ -19,6 +22,7 @@ from parkseq.counting import (
     count_report,
     partitions_into_two,
 )
+from parkseq.counting import _comb_past, _search, _state_bound
 from parkseq.strehl import f_as_t_specialization, verify_recurrence
 
 sizes_vectors = st.lists(st.integers(1, 3), max_size=4).map(tuple)
@@ -86,11 +90,16 @@ class TestEnumeration:
 
     def test_budget_guard_reports_sizes(self):
         with pytest.raises(EnumerationBudgetError) as err:
-            count_by_enumeration((2, 2, 1), 4, budget=100)
+            count_by_enumeration((2, 2, 1), 4, budget=7)
         assert err.value.m == 8
         assert err.value.n == 3
         assert err.value.total == 512
-        assert err.value.budget == 100
+        assert err.value.states == 8
+        assert err.value.budget == 7
+        assert str(err.value) == (
+            "enumerating 8^3 = 512 preference tuples needs up to 8 search states,"
+            " past the budget of 7"
+        )
 
     def test_budget_none_lifts_guard(self):
         assert count_by_enumeration((2, 2, 1), 4, budget=None) == 288
@@ -122,6 +131,77 @@ class TestEnumeration:
     def test_last_size_does_not_change_the_count(self, prefix, z):
         counts = {count_by_enumeration(prefix + (y,), z) for y in (1, 2, 3)}
         assert len(counts) == 1
+
+
+class TestSearchStates:
+    """The search keeps one answer per (car, occupancy row), and the budget
+    guard bounds those states before the search starts."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=5, max_size=9)
+        .map(tuple)
+        .filter(lambda sizes: _state_bound(sizes) <= 10_000),  # each search about 0.1 s
+        st.integers(1, 3),
+    )
+    def test_matches_formula_past_the_odometer(self, sizes, z):
+        m = z - 1 + sum(sizes)
+        report = count_report(sizes, z, budget=None)
+        assert report.enumerated == count_by_formula(sizes, z)
+        assert report.match
+        assert report.tuples_scanned == m ** len(sizes)
+        assert _search(sizes, z, m)[2] <= _state_bound(sizes)
+
+    def test_states_never_exceed_the_bound(self):
+        # every fleet of up to five cars; six would cost seconds, and longer
+        # fleets are sampled above
+        for n in range(6):
+            for sizes in itertools.product((1, 2, 3), repeat=n):
+                states = _search(sizes, 1, sum(sizes))[2]
+                bound = _state_bound(sizes)
+                assert states <= bound, sizes
+                if len(set(sizes)) == 1:
+                    assert states == bound, sizes  # exact for equal sizes
+
+    def test_mixed_fleet_breaks_the_gap_count_alone(self):
+        """Counting only the gaps around k blocks, sum of C(L - Y_k + k, k),
+        assumes the blocks come in one order; mixed sizes reach more rows."""
+        sizes = (3, 2, 1, 3, 3, 3)
+        free = sum(sizes)
+        gaps_only = sum(comb(free - sum(sizes[:k]) + k, k) for k in range(len(sizes)))
+        assert gaps_only == 566
+        assert _search(sizes, 1, free)[2] == 2625
+        assert _state_bound(sizes) == 4441
+
+    def test_over_budget_fleet_is_refused_before_the_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(counting, "_search", no_search)
+        with pytest.raises(EnumerationBudgetError) as err:
+            count_report((1, 2, 3) * 4, 3)
+        assert (err.value.m, err.value.n, err.value.total) == (26, 12, 26**12)
+        assert err.value.states == 6_198_983
+        assert err.value.budget == DEFAULT_BUDGET
+
+    def test_large_cars_are_refused_without_their_full_binomial(self):
+        # C(2 * 10**6, 10**6) alone takes tens of seconds; the block count is smaller
+        with pytest.raises(EnumerationBudgetError) as err:
+            count_report((10**6, 10**6), 1)
+        assert err.value.states == 1 + (10**6 + 1)
+
+    def test_ten_unit_cars_run_at_the_default_budget(self):
+        report = count_report((1,) * 10, 1)
+        assert report.enumerated == count_by_formula((1,) * 10, 1) == 11**9
+        assert report.tuples_scanned == 10**10
+        assert _search((1,) * 10, 1, 10)[2] == _state_bound((1,) * 10) == 2**10 - 1
+
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 10**9))
+    def test_capped_binomial(self, n, k, cap):
+        k = min(k, n)
+        exact = comb(n, k)
+        got = _comb_past(n, k, cap)
+        assert got == exact if exact <= cap else exact >= got > cap
 
 
 class TestIndexSet:

@@ -1,6 +1,8 @@
 """Sparse polynomial engine: canonical form, ring laws, substitution, evaluation."""
 
+import operator
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -173,6 +175,44 @@ def test_evaluate_with_assignment():
     assert p.evaluate(assignment) == 3 * (-2) + 11 - 5
     with pytest.raises(ValueError):
         poly(y_var(9)).evaluate(assignment)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, False, "3", None])
+def test_evaluate_with_mapping_refuses_non_integers(value):
+    p = poly(Z) + poly(W)
+    message = f"w must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        p.evaluate({Z: 1, W: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs,where,value",
+    [
+        ({"z_val": 1.5}, "z_val", 1.5),
+        ({"w_val": True}, "w_val", True),
+        ({"y_vals": {1: 2, 3: 2.0}}, "y_vals[3]", 2.0),
+        ({"x_vals": {(1, 2): False}}, "x_vals[(1, 2)]", False),
+        ({"z_val": None}, "z_val", None),
+    ],
+)
+def test_assignment_refuses_non_integers(kwargs, where, value):
+    message = f"{where} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ParameterAssignment(**kwargs)
+
+
+def test_bool_is_not_a_polynomial_constant():
+    p = poly(Z) + 1
+    with pytest.raises(TypeError):
+        poly(True)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, True)
+        with pytest.raises(TypeError):
+            op(False, p)
+    assert (p == True) is False  # noqa: E712
+    assert (poly(1) == True) is False  # noqa: E712
+    assert p * 2 == 2 * p == poly(Z) * 2 + 2
 
 
 @given(polys, polys)
