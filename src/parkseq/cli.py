@@ -304,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--enumerate", action="store_true", dest="do_enumerate",
                          help="also run the brute-force oracle and compare")
     p_count.add_argument("--budget", type=int, default=None,
-                         help="refuse when the oracle's search may visit more states than this"
+                         help="refuse when the oracle's search may walk more row cells"
+                              " (states times m spots) than this"
                               f" (default {DEFAULT_BUDGET} or $PARKSEQ_BUDGET)")
     p_count.add_argument("--force", action="store_true", help="enumerate past the budget")
 

@@ -15,21 +15,23 @@ from typing import Iterable, Iterator
 
 from .core import SizesLike, _check_z, as_car_sizes
 
-DEFAULT_BUDGET = 10**5
+DEFAULT_BUDGET = 4 * 10**6
 PARTITION_LIMIT = 30
 
 
 class EnumerationBudgetError(Exception):
-    """Raised when the search might visit more states than the enumeration budget.
+    """Raised when the search might walk more row cells than the enumeration budget.
 
     ``total`` is the ``m**n`` tuples the search would account for; ``states``
-    is the upper bound on its states that exceeded ``budget``.
+    is the upper bound on its states, each charged for its row of ``m``
+    spots, and ``states * m`` exceeded ``budget``.
     """
 
     def __init__(self, m: int, n: int, total: int, budget: int, states: int):
         super().__init__(
             f"enumerating {m}^{n} = {total} preference tuples needs up to {states}"
-            f" search states, past the budget of {budget}"
+            f" search states of {m} spots each ({states * m} row cells),"
+            f" past the budget of {budget}"
         )
         self.m = m
         self.n = n
@@ -243,10 +245,11 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
     simulation, and a prefix that fails decides all of its tuples at once, so
     the cost follows the parking prefixes rather than ``m**n``; every tuple is
     still accounted for.  Prefixes that leave the same occupancy row share
-    their future too, so the cost is the number of (car, row) states reached.
-    Refuses to start when an upper bound on those states exceeds ``budget``
-    (pass ``budget=None`` to lift the guard) or when the fleet is too long
-    for the recursive search (see ``count_report``).
+    their future too, so the cost is the number of (car, row) states reached,
+    each walking its row of ``m`` spots.  Refuses to start when an upper
+    bound on those row cells exceeds ``budget`` (pass ``budget=None`` to lift
+    the guard) or when the fleet is too long for the recursive search (see
+    ``count_report``).
     """
     return count_report(sizes, z, budget=budget).enumerated
 
@@ -257,10 +260,12 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
     The search recurses once per car, so fleets longer than half the
     interpreter's recursion limit are refused with a ``ValueError`` before
     it starts; the other half is left to the callers.  Then, unless
-    ``budget`` is None, a fleet whose search might visit more than
-    ``budget`` states (``_state_bound``) is refused with an
-    ``EnumerationBudgetError``.  Each state costs roughly 10-16 µs, so the
-    default budget of 10**5 admits runs of up to about 2 s.
+    ``budget`` is None, a fleet is refused with an ``EnumerationBudgetError``
+    when its search might walk more than ``budget`` row cells: the bound on
+    its states (``_state_bound``) times the ``m`` spots of the row that each
+    state stores as its key and walks for its empty spots.  A cell costs
+    roughly 0.1-0.5 µs, so the default budget of 4 * 10**6 admits runs of up
+    to about 2 s.
     """
     cars = as_car_sizes(sizes)
     _check_z(z)
@@ -274,7 +279,7 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
         )
     if budget is not None:
         states = _state_bound(cars.sizes)
-        if states > budget:
+        if states * m > budget:
             raise EnumerationBudgetError(m, n, m**n, budget, states)
     parked, scanned, _ = _search(cars.sizes, z, m)
     return CountReport.compare(parked, count_by_formula(cars, z), scanned)

@@ -158,13 +158,13 @@ class TestCount:
         }
 
     def test_budget_flag_blocks_enumeration(self, capsys):
-        # the search over (2,2,1) reaches at most 8 states, so 7 must refuse
+        # the search over (2,2,1) reaches at most 8 states of 8 spots, so 63 must refuse
         code, out, err = run_cli(
-            capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "7"
+            capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "63"
         )
         assert code == 2
         assert "8^3 = 512 preference tuples needs up to 8 search states" in err
-        assert "budget of 7" in err
+        assert "(64 row cells), past the budget of 63" in err
         for hint in ("--budget", "PARKSEQ_BUDGET", "--force"):
             assert hint in err
         assert out == ""
@@ -172,7 +172,7 @@ class TestCount:
     def test_force_overrides_budget(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "10", "--force",
+            "count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "63", "--force",
         )
         assert code == 0
         assert "match=true" in out
@@ -187,13 +187,15 @@ class TestCount:
         assert f"limit of {sys.getrecursionlimit() // 2}" in err
 
     def test_env_budget_is_honoured(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARKSEQ_BUDGET", "7")
+        monkeypatch.setenv("PARKSEQ_BUDGET", "63")
         code, _, err = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate")
         assert code == 2
-        assert "up to 8 search states, past the budget of 7" in err
+        assert "up to 8 search states of 8 spots each (64 row cells), past the budget of 63" in err
 
     def test_flag_beats_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARKSEQ_BUDGET", "10")
+        monkeypatch.setenv("PARKSEQ_BUDGET", "63")
+        code, _, _ = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate")
+        assert code == 2  # the env budget alone refuses
         code, out, _ = run_cli(
             capsys,
             "count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", "100000",

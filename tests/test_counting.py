@@ -3,7 +3,7 @@
 import itertools
 import re
 import sys
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -90,15 +90,15 @@ class TestEnumeration:
 
     def test_budget_guard_reports_sizes(self):
         with pytest.raises(EnumerationBudgetError) as err:
-            count_by_enumeration((2, 2, 1), 4, budget=7)
+            count_by_enumeration((2, 2, 1), 4, budget=63)
         assert err.value.m == 8
         assert err.value.n == 3
         assert err.value.total == 512
         assert err.value.states == 8
-        assert err.value.budget == 7
+        assert err.value.budget == 63
         assert str(err.value) == (
-            "enumerating 8^3 = 512 preference tuples needs up to 8 search states,"
-            " past the budget of 7"
+            "enumerating 8^3 = 512 preference tuples needs up to 8 search states"
+            " of 8 spots each (64 row cells), past the budget of 63"
         )
 
     def test_budget_none_lifts_guard(self):
@@ -131,6 +131,10 @@ class TestEnumeration:
     def test_last_size_does_not_change_the_count(self, prefix, z):
         counts = {count_by_enumeration(prefix + (y,), z) for y in (1, 2, 3)}
         assert len(counts) == 1
+
+
+def _no_search(*args):
+    raise AssertionError("the search started")
 
 
 class TestSearchStates:
@@ -174,21 +178,52 @@ class TestSearchStates:
         assert _state_bound(sizes) == 4441
 
     def test_over_budget_fleet_is_refused_before_the_search(self, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("the search started")
-
-        monkeypatch.setattr(counting, "_search", no_search)
+        monkeypatch.setattr(counting, "_search", _no_search)
         with pytest.raises(EnumerationBudgetError) as err:
             count_report((1, 2, 3) * 4, 3)
         assert (err.value.m, err.value.n, err.value.total) == (26, 12, 26**12)
         assert err.value.states == 6_198_983
         assert err.value.budget == DEFAULT_BUDGET
 
-    def test_large_cars_are_refused_without_their_full_binomial(self):
+    def test_large_cars_are_refused_without_their_full_binomial(self, monkeypatch):
         # C(2 * 10**6, 10**6) alone takes tens of seconds; the block count is smaller
+        monkeypatch.setattr(counting, "_search", _no_search)
         with pytest.raises(EnumerationBudgetError) as err:
             count_report((10**6, 10**6), 1)
         assert err.value.states == 1 + (10**6 + 1)
+
+    @pytest.mark.parametrize("size", [10**4, 50_000])
+    def test_long_rows_are_charged_for_their_spots(self, monkeypatch, size):
+        """Two big cars reach only size + 2 states, but each one stores and
+        walks a row of m = 2 * size spots; the search would not finish."""
+        monkeypatch.setattr(counting, "_search", _no_search)
+        with pytest.raises(EnumerationBudgetError) as err:
+            count_report((size, size), 1)
+        assert err.value.states == size + 2
+        assert err.value.states * err.value.m > DEFAULT_BUDGET
+
+    def test_row_count_tightens_the_bound_at_the_default_budget(self, monkeypatch):
+        """Mixed fleets have many block orders M_k; capping them by the C(L, Y_k)
+        rows admits this fleet, which the block count alone would refuse."""
+        sizes = (1, 1, 1, 1, 2, 3, 3, 2, 3)
+        m = sum(sizes)
+        blocks_only = 0
+        for k in range(len(sizes)):
+            orders = factorial(k)
+            for y in set(sizes[:k]):
+                orders //= factorial(sizes[:k].count(y))
+            blocks_only += orders * comb(m - sum(sizes[:k]) + k, k)
+        assert _state_bound(sizes) * m == 795_056 <= DEFAULT_BUDGET < blocks_only * m
+
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(counting, "_search", started)
+        with pytest.raises(Started):
+            count_report(sizes, 1)
 
     def test_ten_unit_cars_run_at_the_default_budget(self):
         report = count_report((1,) * 10, 1)
