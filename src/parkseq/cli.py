@@ -179,11 +179,11 @@ def _rows_identity(args: argparse.Namespace, name: str, ground: IndexSet | None)
         if name == "easy" and not A:
             raise ValueError("the easy identity needs a nonempty --set")
         if args.randomized or len(A) > SYMBOLIC_BUDGET:
-            sides = _trial_sides(name, A, args.trials, args.seed)
-            lhs, rhs = next(sides)  # the row shows the first trial's sides
-            match = lhs == rhs and all(left == right for left, right in sides)
+            trials = list(_trial_sides(name, A, args.trials, args.seed))
+            # the row shows its first failing trial's sides, or else its first trial's
+            lhs, rhs = next((pair for pair in trials if pair[0] != pair[1]), trials[0])
             instance = f"A={{{_csv(A)}}} randomized trials={args.trials} seed={args.seed}"
-            yield {"suite": name, "instance": instance, "lhs": lhs, "rhs": rhs, "match": match}
+            yield {"suite": name, "instance": instance, "lhs": lhs, "rhs": rhs, "match": lhs == rhs}
         else:
             lhs_p, rhs_p = identity_sides(name, A)
             yield {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from math import comb
+from math import comb, log10
 from typing import Iterable, Iterator
 
 from .core import SizesLike, _check_z, as_car_sizes
@@ -24,20 +24,30 @@ class EnumerationBudgetError(Exception):
 
     ``total`` is the ``m**n`` tuples the search would account for; ``states``
     is the upper bound on its states, each charged for its row of ``m``
-    spots, and ``states * m`` exceeded ``budget``.
+    spots, and ``states * m`` exceeded ``budget``.  The message gives a number
+    too long for the interpreter's int-to-str limit as its digit count.
     """
 
     def __init__(self, m: int, n: int, total: int, budget: int, states: int):
         super().__init__(
-            f"enumerating {m}^{n} = {total} preference tuples needs up to {states}"
-            f" search states of {m} spots each ({states * m} row cells),"
-            f" past the budget of {budget}"
+            f"enumerating {_decimal(m)}^{n} = {_decimal(total)} preference tuples needs up to"
+            f" {_decimal(states)} search states of {_decimal(m)} spots each"
+            f" ({_decimal(states * m)} row cells), past the budget of {_decimal(budget)}"
         )
         self.m = m
         self.n = n
         self.total = total
         self.states = states
         self.budget = budget
+
+
+def _decimal(v: int) -> str:
+    """``v`` in decimal, or ``[d digits]`` when ``str`` would refuse it as too long."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or v < 10**limit:
+        return str(v)
+    d = int((v.bit_length() - 1) * log10(2)) + 1  # v has d or d + 1 digits
+    return f"[{d + (v >= 10**d)} digits]"
 
 
 class IndexSet(tuple):

@@ -8,10 +8,10 @@ The Sheffer-type family s_A is the product of the forms over every member of
 A; the binomial-type family t_A is the main variable times the product over
 every member except the maximum, and 1 on the empty set.  ``_join`` is the
 one place the forms are written: it adds one member to a set, growing every
-earlier form by one x term and giving the new member its form.  ``_factors``
-folds it over A, so expansion, exact values, the head factor and the
-specializations all multiply forms built by it, specialized before anything
-is expanded.  Setting all x and all y parameters to constants
+earlier form by one x term and giving the new member its form.  ``_forms``
+folds it over A and ``_product`` multiplies the result, so expansion, exact
+values, the head factor and the specializations all multiply forms built by
+it, specialized before anything is expanded.  Setting all x and all y parameters to constants
 collapses both families to the classical Abel--Rothe polynomials.
 
 Three identities connect the families:
@@ -26,9 +26,12 @@ not to A; with A-relative sums the sheffer identity already fails on {1, 2}.
 Each identity can be checked symbolically (canonical expansion, small sets)
 or probabilistically (exact big-integer evaluation at seeded random points).
 The exact right side of a convolution comes from a depth-first search over
-the members of A in increasing order: each member joins the left or the
-right side through ``_join``, so splits that share a prefix share its forms
-and a split costs O(|A|) instead of O(|A|^2).
+the members of A in increasing order.  x is read once, one column per
+member, and each member joins the left or the right side through ``_join``,
+so splits that share a prefix share its forms and no (a, b) key is built per
+form.  The last member joins inside the leaf pair, which multiplies out both
+splits it completes: a split costs O(|A|) beyond its two products, and the
+search holds O(|A|^2) values.
 
 At the parking point (A = {1..n}, all x = 1, y_j the j-th car size) t_A(z)
 is F(sizes, z), the closed-form parking count, and z * s_L(z) * t_R(1) is
@@ -42,6 +45,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Iterable, Iterator, Literal, Mapping
 
 from .core import SizesLike, _check_z, as_car_sizes
@@ -69,30 +73,32 @@ IdentityName = Literal["easy", "sheffer", "binomial"]
 _IDENTITIES = ("easy", "sheffer", "binomial")
 
 
-def _join(side: tuple, b: int, y: Mapping, x: Mapping) -> tuple:
-    """Side ``(members, forms, lower)`` with member b, larger than all of them, added.
+def _join(forms: list, places: Iterable[int], col: list, lower) -> list:
+    """The forms of a side after a member b, larger than all of its members, joins it.
 
-    ``lower`` is the main variable plus the sum of ``y[j]`` over the members,
-    and ``forms[i]`` is the linear form of ``members[i]`` within the side:
-    every form already there gains ``x[a, b]``, and ``lower`` gains ``y[b]``
-    and becomes b's own form.  Ints and polynomials work alike.
+    ``forms[k]`` is the linear form of the member at position ``places[k]``
+    of the ground set A, and ``col`` is b's column of x,
+    ``col[p] = x[A[p], b]``: every form already there gains its member's x
+    term, and ``lower``, the main variable plus the y's of the side's members
+    and of b, becomes b's own form.  Ints and polynomials work alike.
     """
-    members, forms, lower = side
-    forms = [form + x[a, b] for a, form in zip(members, forms)]
-    lower += y[b]
-    forms.append(lower)
-    return (*members, b), forms, lower
+    return [*map(add, forms, map(col.__getitem__, places)), lower]
 
 
-def _family(family: str, at, forms: list) -> list:
-    """The factors of the ``family`` ("t" or "s") member with these forms.
+def _columns(A: tuple, x: Mapping) -> list:
+    """x read by column: ``cols[i][p] = x[A[p], A[i]]`` for every p < i."""
+    return [[x[a, b] for a in A[:i]] for i, b in enumerate(A)]
 
-    s takes every form; t takes ``at`` and every form but the maximum's, and
-    is 1 (no factors) on the empty set.
+
+def _family(family: str, at, forms: list):
+    """The ``family`` ("t" or "s") member with these forms, multiplied out.
+
+    s multiplies every form; t multiplies ``at`` and every form but the
+    maximum's, and is 1 on the empty set.
     """
     if family == "s":
-        return forms
-    return [at, *forms[:-1]] if forms else []
+        return math.prod(forms)
+    return math.prod(forms[:-1], start=at) if forms else 1
 
 
 def _forms(A: Iterable[int], at, y: Mapping, x: Mapping) -> list:
@@ -101,14 +107,16 @@ def _forms(A: Iterable[int], at, y: Mapping, x: Mapping) -> list:
     Member a's form is ``at + sum(y[j] for j <= a) + sum(x[a, j] for j > a)``
     with j running over A, grown one member at a time by ``_join``.
     """
-    side = ((), [], at)
-    for b in A:
-        side = _join(side, b, y, x)
-    return side[1]
+    A = tuple(A)
+    forms, lower = [], at
+    for i, col in enumerate(_columns(A, x)):
+        lower += y[A[i]]
+        forms = _join(forms, range(i), col, lower)
+    return forms
 
 
-def _factors(A: Iterable[int], family: str, at, y: Mapping, x: Mapping) -> list:
-    """The factors of the ``family`` ("t" or "s") member over A.
+def _product(A: Iterable[int], family: str, at, y: Mapping, x: Mapping):
+    """The ``family`` ("t" or "s") member over A, as the product of its factors.
 
     ``at`` stands in for the main variable, ``y[j]`` for y_j and ``x[a, j]``
     for x_{a,j}.
@@ -117,7 +125,7 @@ def _factors(A: Iterable[int], family: str, at, y: Mapping, x: Mapping) -> list:
 
 
 def _symbols(A: IndexSet) -> tuple[dict, dict]:
-    """The y and x parameters over A as polynomials, keyed as ``_factors`` reads them."""
+    """The y and x parameters over A as polynomials, keyed as ``_product`` reads them."""
     return (
         {j: poly(y_var(j)) for j in A},
         {(a, j): poly(x_var(a, j)) for a, j in combinations(A, 2)},
@@ -126,7 +134,7 @@ def _symbols(A: IndexSet) -> tuple[dict, dict]:
 
 @lru_cache(maxsize=None)
 def _expand(A: IndexSet, family: str, zvar: Variable) -> SparsePolynomial:
-    return poly(math.prod(_factors(A, family, poly(zvar), *_symbols(A))))
+    return poly(_product(A, family, poly(zvar), *_symbols(A)))
 
 
 def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
@@ -173,10 +181,10 @@ def identity_sides(
         )
     z = poly(Z)
     if identity == "easy":
-        head = _factors(A, "s", z, *_symbols(A))[-1]
+        head = _forms(A, z, *_symbols(A))[-1]
         return head * t_poly(A), z * s_poly(A)
     family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
-    lhs = poly(math.prod(_factors(A, family, z + poly(W), *_symbols(A))))
+    lhs = poly(_product(A, family, z + poly(W), *_symbols(A)))
     rhs = poly(0)
     for left, right in partitions_into_two(A):
         rhs = rhs + expand(left) * t_poly(right, zvar=W)
@@ -212,31 +220,41 @@ def s_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:
     multiplied without any symbolic expansion, giving the same number as
     ``s_poly(A).evaluate(...)``.
     """
-    return math.prod(_factors(A, "s", at, assignment.y_vals, assignment.x_vals))
+    return _product(A, "s", at, assignment.y_vals, assignment.x_vals)
 
 
 def t_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:
     """Exact value of the binomial-type product at integer arguments."""
-    return math.prod(_factors(A, "t", at, assignment.y_vals, assignment.x_vals))
+    return _product(A, "t", at, assignment.y_vals, assignment.x_vals)
 
 
 def _split_sum(A: IndexSet, family: str, z: int, w: int, y: Mapping, x: Mapping) -> int:
     """Sum of ``family``_L(z) * t_R(w) over every split (L, R) of A.
 
     A depth-first search over the members of A in increasing order: each one
-    joins the left side (main variable z) or the right side (w), so splits
-    that share a prefix share its forms, and a split costs O(|A|) beyond its
-    two products.  The search holds one side per level, O(|A|^2) values.
+    joins the left side (main variable z) or the right side (w) through
+    ``_join``, so splits that share a prefix share its forms.  x is read once,
+    by column; each side travels as its forms, its ``lower`` and the
+    positions of its members, and the last member joins inside the leaf
+    pair, which multiplies out both of its splits.  The search holds four
+    sides per level, O(|A|^2) values.
     """
-    k = len(A)
+    if not A:
+        return 1
+    cols, ys, last = _columns(A, x), [y[b] for b in A], len(A) - 1
 
-    def grow(i: int, left: tuple, right: tuple) -> int:
-        if i == k:
-            return math.prod(_family(family, z, left[1])) * math.prod(_family("t", w, right[1]))
-        b = A[i]
-        return grow(i + 1, _join(left, b, y, x), right) + grow(i + 1, left, _join(right, b, y, x))
+    def grow(i, left, lplaces, llower, right, rplaces, rlower) -> int:
+        col, lnext, rnext = cols[i], llower + ys[i], rlower + ys[i]
+        joined_left = _join(left, lplaces, col, lnext)
+        joined_right = _join(right, rplaces, col, rnext)
+        if i == last:  # the leaf pair: A[i] joins the left side, or the right
+            on_left = _family(family, z, joined_left) * _family("t", w, right)
+            return on_left + _family(family, z, left) * _family("t", w, joined_right)
+        return grow(i + 1, joined_left, (*lplaces, i), lnext, right, rplaces, rlower) + grow(
+            i + 1, left, lplaces, llower, joined_right, (*rplaces, i), rnext
+        )
 
-    return grow(0, ((), [], z), ((), [], w))
+    return grow(0, [], (), z, [], (), w)
 
 
 def _omitted_split(identity: str, A: IndexSet, omit) -> tuple[tuple, tuple] | None:
@@ -269,10 +287,10 @@ def identity_value_sides(
 ) -> tuple[int, int]:
     """Exact integer left and right sides of an identity at one assignment.
 
-    A convolution's right side is summed by a depth-first search over the
-    members of A, each joining the left or the right side in turn, so the
-    linear forms of splits with a common prefix are built once; a set of
-    more than ``PARTITION_LIMIT`` members is refused before any work.
+    A convolution's right side is summed by ``_split_sum``, a depth-first
+    search that builds the forms of splits with a common prefix once and
+    multiplies out the last member's two splits together; a set of more
+    than ``PARTITION_LIMIT`` members is refused before any work.
 
     ``omit`` drops a single (left, right) decomposition from a convolution
     sum; dropping any term must break the identity, which is how the
@@ -285,14 +303,14 @@ def identity_value_sides(
     z, w, y, x = assignment.z_val, assignment.w_val, assignment.y_vals, assignment.x_vals
     if identity == "easy":
         forms = _forms(A, z, y, x)
-        return forms[-1] * math.prod(_family("t", z, forms)), z * math.prod(forms)
+        return forms[-1] * _family("t", z, forms), z * math.prod(forms)
     _check_partition_count(len(A))
     family = "s" if identity == "sheffer" else "t"
     rhs = _split_sum(A, family, z, w, y, x)
     if omit is not None:  # taking its term back out equals leaving the split out
         left, right = omit
-        rhs -= math.prod(_factors(left, family, z, y, x)) * math.prod(_factors(right, "t", w, y, x))
-    return math.prod(_factors(A, family, z + w, y, x)), rhs
+        rhs -= _product(left, family, z, y, x) * _product(right, "t", w, y, x)
+    return _product(A, family, z + w, y, x), rhs
 
 
 def _trial_sides(
@@ -325,15 +343,15 @@ def random_identity_check(
     Draws ``trials`` assignments with values uniform in [-10^6, 10^6] from a
     generator seeded with ``seed`` and compares both sides exactly; any
     disagreement ends the check.  A convolution's right side comes from
-    ``identity_value_sides``' split search, which shares the forms of
-    splits with a common prefix instead of rebuilding each of the 2^|A|
-    splits.  The difference of the two sides has total degree <= |A| + 1
-    and every variable is uniform over the 2*10^6 + 1 integers drawn, so by
-    the Schwartz--Zippel lemma a false identity passes one trial with
-    probability <= (|A| + 1) / (2*10^6 + 1), and ``trials`` independent
-    trials with at most that bound raised to the power ``trials``.  On the
-    empty ground set every identity degenerates to 1 = 1 and the answer is
-    True for any seed.
+    ``identity_value_sides``' split search, which walks all 2^|A| splits
+    but builds the forms of a common prefix once, so a split costs O(|A|)
+    additions beyond its two products.  The difference of the two sides has
+    total degree <= |A| + 1 and every variable is uniform over the
+    2*10^6 + 1 integers drawn, so by the Schwartz--Zippel lemma a false
+    identity passes one trial with probability <= (|A| + 1) / (2*10^6 + 1),
+    and ``trials`` independent trials with at most that bound raised to the
+    power ``trials``.  On the empty ground set every identity degenerates to
+    1 = 1 and the answer is True for any seed.
     """
     A = _as_index_set(A)
     if identity not in _IDENTITIES:
@@ -361,7 +379,7 @@ def f_as_t_specialization(sizes: SizesLike, z_val: int) -> int:
     cars = as_car_sizes(sizes)
     _check_z(z_val)
     A, y, x = _parking_point(cars.sizes)
-    return math.prod(_factors(A, "t", z_val, y, x))
+    return _product(A, "t", z_val, y, x)
 
 
 def verify_recurrence(sizes: SizesLike, next_size: int, z: int) -> CountReport:
@@ -403,4 +421,4 @@ def abel_rothe_specialize(
         raise ValueError(f"which must be 't' or 's', got {which!r}")
     y = dict.fromkeys(A, eta)
     x = dict.fromkeys(combinations(A, 2), xi)
-    return poly(math.prod(_factors(A, which, poly(Z), y, x)))
+    return poly(_product(A, which, poly(Z), y, x))

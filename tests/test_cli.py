@@ -380,6 +380,15 @@ class TestVerify:
         assert out.endswith(" match=true\n")
         assert len(calls) == 5
 
+    def test_failed_randomized_row_shows_its_first_failing_trial(self, capsys, monkeypatch):
+        def sides(identity, A, trials, seed, omit=None):
+            yield from [(5, 5), (2, 3), (7, 9)]  # the first trial passes
+
+        monkeypatch.setattr("parkseq.cli._trial_sides", sides)
+        code, out, _ = run_cli(capsys, "verify", "sheffer", "--set", "1,2,3,4,5,6", "--trials", "3")
+        row = "sheffer A={1,2,3,4,5,6} randomized trials=3 seed=42: lhs=2 rhs=3 match=false\n"
+        assert (code, out) == (1, row)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -101,6 +101,28 @@ class TestEnumeration:
             " of 8 spots each (64 row cells), past the budget of 63"
         )
 
+    def test_budget_error_formats_no_number_past_the_int_digit_limit(self, monkeypatch):
+        monkeypatch.setattr(counting, "_search", _no_search)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(EnumerationBudgetError) as err:
+                count_report((10**9,) * 500, 1)
+            huge = EnumerationBudgetError(10**5000, 2, 10**10000, 7, 10**5000 - 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        m = 500 * 10**9
+        assert (err.value.m, err.value.n, err.value.total) == (m, 500, m**500)
+        assert str(err.value).startswith(
+            f"enumerating {m}^500 = [5850 digits] preference tuples needs up to "
+        )
+        assert str(err.value).endswith(" row cells), past the budget of 4000000")
+        assert str(huge) == (
+            "enumerating [5001 digits]^2 = [10001 digits] preference tuples needs up to"
+            " [5000 digits] search states of [5001 digits] spots each ([10000 digits] row cells),"
+            " past the budget of 7"
+        )
+
     def test_budget_none_lifts_guard(self):
         assert count_by_enumeration((2, 2, 1), 4, budget=None) == 288
 

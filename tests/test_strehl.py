@@ -202,6 +202,12 @@ class TestNumericValues:
                 shifted = s_poly(A).substitute({Z: poly(Z) + poly(W)})
                 assert s_value(A, assignment, at) == shifted.evaluate(assignment)
 
+    def test_a_generator_gives_the_same_values_as_a_tuple(self):
+        A = IndexSet.first(5)
+        assignment = ParameterAssignment.random_for(A, random.Random(3))
+        for value in (s_value, t_value):
+            assert value(iter(A), assignment, 7) == value(tuple(A), assignment, 7) != 0
+
     def test_empty_products(self):
         assignment = ParameterAssignment(z_val=9, w_val=4)
         assert s_value((), assignment, 9) == 1
@@ -293,6 +299,36 @@ class TestSplitSearch:
             )
             want = (family(A, z + w), rhs)
         assert identity_value_sides(identity, A, assignment, omit=omit) == want
+
+    # Worked out by hand on A = {2, 5}: member 2's form is at + y2 + x25 and
+    # member 5's is at + y2 + y5, so with a = z + y2 the sheffer sides are
+    # (a + x25 + w)(a + y5 + w) and (a + x25)(a + y5) + (z + y2)w + (z + y5)w
+    # + w(w + y2 + x25), the binomial ones (z + w)(z + w + y2 + x25) and
+    # z(z + y2 + x25) + zw + zw + w(w + y2 + x25).
+    @pytest.mark.parametrize(
+        "identity,A,z,w,y,x,sides",
+        [
+            ("sheffer", (), 3, 5, {}, {}, (1, 1)),
+            ("binomial", (), 3, 5, {}, {}, (1, 1)),
+            ("sheffer", (4,), 3, 5, {4: 2}, {}, (10, 10)),
+            ("binomial", (4,), 3, 5, {4: 2}, {}, (8, 8)),
+            ("sheffer", (2, 5), 3, 5, {2: 2, 5: 7}, {(2, 5): -4}, (102, 12 + 25 + 50 + 15)),
+            ("binomial", (2, 5), 3, 5, {2: 2, 5: 7}, {(2, 5): -4}, (48, 3 + 15 + 15 + 15)),
+            # z + y2 + y5 = 0: the left side {2, 5} has a zero form at z, the
+            # maximum's, which a t computed as s divided by it would need
+            ("sheffer", (2, 5), 3, 5, {2: 2, 5: -5}, {(2, 5): -4}, (30, 0 + 25 - 10 + 15)),
+            ("binomial", (2, 5), 3, 5, {2: 2, 5: -5}, {(2, 5): -4}, (48, 3 + 15 + 15 + 15)),
+            # member 2's form is zero at z for the left side {2, 5}
+            ("sheffer", (2, 5), 3, 5, {2: 2, 5: 7}, {(2, 5): -5}, (85, 0 + 25 + 50 + 10)),
+            ("sheffer", (2, 5), 0, 5, {2: 2, 5: 7}, {(2, 5): -4}, (42, -18 + 10 + 35 + 15)),
+            ("binomial", (2, 5), 0, 5, {2: 2, 5: 7}, {(2, 5): -4}, (15, 0 + 0 + 0 + 15)),
+            ("sheffer", (2, 5), 3, 0, {2: 2, 5: 7}, {(2, 5): -4}, (12, 12 + 0 + 0 + 0)),
+            ("binomial", (2, 5), 3, 0, {2: 2, 5: 7}, {(2, 5): -4}, (3, 3 + 0 + 0 + 0)),
+        ],
+    )
+    def test_small_sets_give_the_values_worked_out_by_hand(self, identity, A, z, w, y, x, sides):
+        assignment = ParameterAssignment(z_val=z, w_val=w, y_vals=y, x_vals=x)
+        assert identity_value_sides(identity, A, assignment) == sides
 
     @pytest.mark.parametrize(
         "identity,omit",
