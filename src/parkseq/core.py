@@ -63,27 +63,6 @@ class LotLayout(NamedTuple):
     def render(self) -> str:
         return " ".join(_cell_token(c) for c in self.cells)
 
-    def validate_against(self, cars: CarSizeVector, z: int) -> None:
-        """Check the layout invariants for a successful parking of ``cars``.
-
-        Trailer cells are exactly spots 1..z-1, each car occupies a contiguous
-        block of its own length, and no cell is empty.
-        """
-        m = z - 1 + cars.total
-        if len(self.cells) != m:
-            raise ValueError(f"layout has {len(self.cells)} cells, lot has {m}")
-        for k, cell in enumerate(self.cells, start=1):
-            if (cell == TRAILER) != (k <= z - 1):
-                raise ValueError(f"spot {k} holds {_cell_token(cell)}, trailer zone is 1..{z - 1}")
-            if cell is None:
-                raise ValueError(f"spot {k} is empty in a finished layout")
-        for i, y in enumerate(cars, start=1):
-            block = [k for k, cell in enumerate(self.cells, start=1) if cell == i]
-            if len(block) != y:
-                raise ValueError(f"car {i} occupies {len(block)} spots, its size is {y}")
-            if block and block[-1] - block[0] != y - 1:
-                raise ValueError(f"car {i} is not contiguous: spots {block}")
-
 
 def _cell_token(cell: Cell) -> str:
     if cell == TRAILER:

@@ -8,7 +8,6 @@ product grows too fast for anything else.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from math import comb, log10
 from typing import Iterable, Iterator
@@ -25,7 +24,7 @@ class EnumerationBudgetError(Exception):
     ``total`` is the ``m**n`` tuples the search would account for; ``states``
     is the upper bound on its states, each charged for its row of ``m``
     spots, and ``states * m`` exceeded ``budget``.  The message gives a number
-    too long for the interpreter's int-to-str limit as its digit count.
+    of more than 40 digits as its digit count; the attributes stay exact.
     """
 
     def __init__(self, m: int, n: int, total: int, budget: int, states: int):
@@ -42,9 +41,8 @@ class EnumerationBudgetError(Exception):
 
 
 def _decimal(v: int) -> str:
-    """``v`` in decimal, or ``[d digits]`` when ``str`` would refuse it as too long."""
-    limit = sys.get_int_max_str_digits()
-    if not limit or v < 10**limit:
+    """``v`` in decimal, or ``[d digits]`` when it has more than 40."""
+    if v < 10**40:
         return str(v)
     d = int((v.bit_length() - 1) * log10(2)) + 1  # v has d or d + 1 digits
     return f"[{d + (v >= 10**d)} digits]"
@@ -66,11 +64,6 @@ class IndexSet(tuple):
             if a >= b:
                 raise ValueError(f"index set must be strictly increasing, got {t}")
         return super().__new__(cls, t)
-
-    @classmethod
-    def of(cls, *elems: int) -> "IndexSet":
-        """Build from arbitrary order, deduplicating."""
-        return cls(sorted(set(elems)))
 
     @classmethod
     def first(cls, n: int) -> "IndexSet":
@@ -148,66 +141,51 @@ def count_no_trailer(sizes: SizesLike) -> int:
 
 
 def _search(sizes: tuple[int, ...], z: int, m: int) -> tuple[int, int, int]:
-    """Count parking sequences by a depth-first search over the cars.
+    """Count parking sequences in one forward pass over the cars.
 
-    Returns (parked, scanned, states).  One occupancy row is shared down the
-    search; each car's block is filled before descending and cleared on the
-    way back.  Every preference that rolls forward to the same empty spot
-    ``j`` leaves the same row, so car ``k`` takes one branch per empty spot,
-    weighted by the gap back to the previous empty spot.  Preferences past
-    the last empty spot, and blocks that overflow or collide, fail together:
-    they account for ``m**(cars still to come)`` tuples each without being
-    expanded.  The last car's successes are summed without descending.
-
-    What is left to count depends only on the car and the row, so each car
-    keeps the answer for every row it has seen (the transfer-matrix method)
-    and the search visits each reachable (car, row) state once: ``states``
-    counts them, and ``_state_bound`` bounds them.
+    Returns (parked, scanned, states).  What is left to count depends only on
+    the car and the occupancy row, so the pass keeps ``level``, each row
+    reachable before car ``k`` with the number of preference prefixes that
+    reach it (the transfer-matrix method).  Every preference that rolls
+    forward to the same empty spot ``j`` leaves the same row, so a row hands
+    its prefixes to one row per empty spot, weighted by the gap back to the
+    previous empty spot.  Preferences past the last empty spot, and blocks
+    that overflow or collide, fail together: they account for ``m**(cars
+    still to come)`` tuples each without being expanded.  The last car's
+    successes are summed without building rows.  ``states`` counts the
+    (car, row) states visited, and ``_state_bound`` bounds them.
     """
     n = len(sizes)
     if n == 0:
         return 1, 1, 0  # the empty tuple parks
-    occ = bytearray(m + 1)  # spot k is occ[k]; occ[0] is never read
-    occ[1:z] = b"\x01" * (z - 1)
-    fill = [b"\x01" * y for y in sizes]
-    clear = [bytes(y) for y in sizes]
-    failed_weight = [m ** (n - k - 1) for k in range(n)]
-    seen: list[dict[bytes, tuple[int, int]]] = [{} for _ in range(n)]
-    last = n - 1
-
-    def descend(k: int) -> tuple[int, int]:
-        """(parked, scanned) over every preference tail for cars k..n-1."""
-        row = bytes(occ)
-        known = seen[k].get(row)
-        if known is not None:
-            return known
-        y = sizes[k]
-        parked = scanned = 0
-        fitted = 0  # preferences under which car k parks
-        prev = 0
-        j = occ.find(0, 1)
-        while j >= 0:
-            end = j + y
-            if end <= m + 1 and (y == 1 or occ.find(1, j + 1, end) < 0):
-                gap = j - prev
-                fitted += gap
-                if k != last:
-                    occ[j:end] = fill[k]
-                    sub_parked, sub_scanned = descend(k + 1)
-                    occ[j:end] = clear[k]
-                    parked += gap * sub_parked
-                    scanned += gap * sub_scanned
-            prev = j
-            j = occ.find(0, j + 1)
-        if k == last:
-            known = fitted, m
-        else:
-            known = parked, scanned + (m - fitted) * failed_weight[k]
-        seen[k][row] = known
-        return known
-
-    parked, scanned = descend(0)
-    return parked, scanned, sum(map(len, seen))
+    first = bytearray(m + 1)  # spot j is row[j]; row[0] is never read
+    first[1:z] = b"\x01" * (z - 1)
+    level = {bytes(first): 1}
+    parked = failed = states = 0
+    for k, y in enumerate(sizes):
+        states += len(level)
+        block = b"\x01" * y
+        weight = m ** (n - k - 1)
+        last = k == n - 1
+        following: dict[bytes, int] = {}
+        for row, ways in level.items():
+            fitted = prev = 0  # fitted: preferences under which car k parks
+            j = row.find(0, 1)
+            while j >= 0:
+                end = j + y
+                if end <= m + 1 and (y == 1 or row.find(1, j + 1, end) < 0):
+                    gap = j - prev
+                    fitted += gap
+                    if not last:
+                        after = row[:j] + block + row[end:]
+                        following[after] = following.get(after, 0) + ways * gap
+                prev = j
+                j = row.find(0, j + 1)
+            if last:
+                parked += ways * fitted
+            failed += ways * (m - fitted) * weight
+        level = following
+    return parked, parked + failed, states
 
 
 def _state_bound(sizes: tuple[int, ...]) -> int:
@@ -258,8 +236,7 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
     their future too, so the cost is the number of (car, row) states reached,
     each walking its row of ``m`` spots.  Refuses to start when an upper
     bound on those row cells exceeds ``budget`` (pass ``budget=None`` to lift
-    the guard) or when the fleet is too long for the recursive search (see
-    ``count_report``).
+    the guard; see ``count_report``).
     """
     return count_report(sizes, z, budget=budget).enumerated
 
@@ -267,13 +244,11 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
 def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET) -> CountReport:
     """Run the enumeration oracle and compare it with the closed form.
 
-    The search recurses once per car, so fleets longer than half the
-    interpreter's recursion limit are refused with a ``ValueError`` before
-    it starts; the other half is left to the callers.  Then, unless
-    ``budget`` is None, a fleet is refused with an ``EnumerationBudgetError``
-    when its search might walk more than ``budget`` row cells: the bound on
-    its states (``_state_bound``) times the ``m`` spots of the row that each
-    state stores as its key and walks for its empty spots.  A cell costs
+    Unless ``budget`` is None, a fleet is refused with an
+    ``EnumerationBudgetError`` before the search starts when it might walk
+    more than ``budget`` row cells: the bound on its states (``_state_bound``)
+    times the ``m`` spots of the row that each state stores as its key and
+    walks for its empty spots.  Nothing else bounds the search.  A cell costs
     roughly 0.1-0.5 µs, so the default budget of 4 * 10**6 admits runs of up
     to about 2 s.
     """
@@ -281,12 +256,6 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
     _check_z(z)
     m = z - 1 + cars.total
     n = cars.n
-    depth = sys.getrecursionlimit() // 2
-    if n > depth:
-        raise ValueError(
-            f"enumerating {n} cars needs a search {n} calls deep, past the limit of {depth}"
-            f" (half the interpreter's recursion limit of {sys.getrecursionlimit()})"
-        )
     if budget is not None:
         states = _state_bound(cars.sizes)
         if states * m > budget:

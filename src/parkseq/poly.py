@@ -240,7 +240,7 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "SparsePolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError(f"exponent must be an integer >= 0, got {exponent!r}")
         result = poly(1)
         base = self
@@ -252,22 +252,6 @@ class SparsePolynomial:
             if e:
                 base = base * base
         return result
-
-    def variables(self) -> set[Variable]:
-        return {v for mono in self._terms for v, _ in mono}
-
-    def degree(self, var: Variable | None = None) -> int:
-        """Total degree, or the degree in one variable; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        if var is None:
-            return max(sum(e for _, e in mono) for mono in self._terms)
-        best = 0
-        for mono in self._terms:
-            for v, e in mono:
-                if v == var and e > best:
-                    best = e
-        return best
 
     def evaluate(self, values: "ParameterAssignment | Mapping[Variable, int]") -> int:
         """Exact integer value at a point; every present variable needs a value."""

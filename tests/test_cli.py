@@ -177,14 +177,17 @@ class TestCount:
         assert code == 0
         assert "match=true" in out
 
-    def test_fleet_deeper_than_the_search_is_refused(self, capsys):
+    @pytest.mark.parametrize("sizes", [["1"] * 1200, [str(10**9)] * 500], ids=["1x1200", "500x1e9"])
+    def test_long_fleet_refusal_is_short(self, capsys, sizes):
         code, out, err = run_cli(
-            capsys, "count", "--sizes", ",".join(["1"] * 1200), "--z", "1", "--enumerate", "--force"
+            capsys, "count", "--sizes", ",".join(sizes), "--z", "1", "--enumerate"
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert f"limit of {sys.getrecursionlimit() // 2}" in err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumerating ")
+        assert " digits] preference tuples needs up to " in err
+        assert len(err.encode()) < 1024
+        for hint in ("--budget", "PARKSEQ_BUDGET", "--force"):
+            assert hint in err
 
     def test_env_budget_is_honoured(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKSEQ_BUDGET", "63")

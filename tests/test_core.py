@@ -20,6 +20,29 @@ from parkseq.poly import SparsePolynomial, Z, monomial, x_var, y_var
 from parkseq.strehl import f_as_t_specialization, verify_recurrence
 
 
+def validate_layout(layout, cars, z):
+    """Check the invariants of a successful parking of ``cars``, raising ``ValueError``.
+
+    Trailer cells are exactly spots 1..z-1, each car occupies a contiguous
+    block of its own length, and no cell is empty.
+    """
+    cells = layout.cells
+    m = z - 1 + cars.total
+    if len(cells) != m:
+        raise ValueError(f"layout has {len(cells)} cells, lot has {m}")
+    for k, cell in enumerate(cells, start=1):
+        if (cell == TRAILER) != (k <= z - 1):
+            raise ValueError(f"spot {k} holds {cell!r}, trailer zone is 1..{z - 1}")
+        if cell is None:
+            raise ValueError(f"spot {k} is empty in a finished layout")
+    for i, y in enumerate(cars, start=1):
+        block = [k for k, cell in enumerate(cells, start=1) if cell == i]
+        if len(block) != y:
+            raise ValueError(f"car {i} occupies {len(block)} spots, its size is {y}")
+        if block and block[-1] - block[0] != y - 1:
+            raise ValueError(f"car {i} is not contiguous: spots {block}")
+
+
 @st.composite
 def instances(draw, max_n=4, max_y=3, max_z=4):
     """A random (sizes, z, prefs) triple with prefs valid for the lot."""
@@ -199,7 +222,7 @@ def test_parked_layout_invariants(case):
     assert cells.count(None) == 0
     for i, y in enumerate(sizes, start=1):
         assert cells.count(i) == y
-    outcome.layout.validate_against(CarSizeVector(sizes), z)
+    validate_layout(outcome.layout, CarSizeVector(sizes), z)
 
 
 @given(instances())
@@ -286,12 +309,12 @@ def test_layout_validation_rejects_wrong_layouts():
     from parkseq.core import LotLayout
 
     good = simulate_parking((2,), 2, (1,)).layout
-    good.validate_against(CarSizeVector((2,)), 2)
+    validate_layout(good, CarSizeVector((2,)), 2)
     with pytest.raises(ValueError):  # trailer cell outside the trailer zone
-        LotLayout((TRAILER, 1, 1)).validate_against(CarSizeVector((2,)), 1)
+        validate_layout(LotLayout((TRAILER, 1, 1)), CarSizeVector((2,)), 1)
     with pytest.raises(ValueError):  # car 1 split around car 2
-        LotLayout((1, 2, 1)).validate_against(CarSizeVector((2, 1)), 1)
+        validate_layout(LotLayout((1, 2, 1)), CarSizeVector((2, 1)), 1)
     with pytest.raises(ValueError):  # empty cell in a finished layout
-        LotLayout((TRAILER, None)).validate_against(CarSizeVector((1,)), 2)
+        validate_layout(LotLayout((TRAILER, None)), CarSizeVector((1,)), 2)
     with pytest.raises(ValueError):  # wrong lot length
-        LotLayout((1, 1)).validate_against(CarSizeVector((2,)), 2)
+        validate_layout(LotLayout((1, 1)), CarSizeVector((2,)), 2)

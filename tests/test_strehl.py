@@ -64,8 +64,8 @@ class TestFamilies:
     def test_degree_in_main_variable_is_set_size(self):
         for A in subsets(4):
             if A:
-                assert t_poly(A).degree(Z) == len(A)
-                assert s_poly(A).degree(Z) == len(A)
+                assert max(dict(mono).get(Z, 0) for mono in t_poly(A).terms) == len(A)
+                assert max(dict(mono).get(Z, 0) for mono in s_poly(A).terms) == len(A)
 
     def test_label_shift_covariance(self):
         """The families only see relative order: renaming indices downward
@@ -415,7 +415,7 @@ class TestAbelRothe:
 
     def test_result_is_univariate_in_main_variable(self):
         p = abel_rothe_specialize((1, 2, 3), "t", 2, 3)
-        assert p.variables() <= {Z}
+        assert {v for mono in p.terms for v, _ in mono} <= {Z}
 
     def test_which_is_validated(self):
         with pytest.raises(ValueError):
