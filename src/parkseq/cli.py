@@ -89,7 +89,7 @@ def _digest(p: SparsePolynomial) -> str:
     """Short stable fingerprint of a canonical polynomial for table cells."""
     import hashlib  # loads OpenSSL; only symbolic rows need it
     text = str(p)
-    return f"t{len(p.terms)}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
+    return f"t{len(p._terms)}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 
 
 def cmd_park(args: argparse.Namespace) -> int:

@@ -5,25 +5,43 @@ convolution partner ``w``, one ``y_j`` per positive index j, and one
 ``x_{i,j}`` per index pair i < j.  A variable is a named tuple
 ``(family, a, b)`` with families numbered z = 0, w = 1, y = 2, x = 3, so
 tuple order is the total order z < w < y_1 < y_2 < ... < x_{1,2} < x_{1,3}
-< ... and hashing, equality and ordering run in the interpreter's tuple code,
-not in Python.  A monomial is a tuple of (variable, exponent) pairs sorted
-by variable, and a polynomial is a dict from monomials to nonzero integer
-coefficients.  The representation is canonical: no zero coefficient and no
-zero exponent is ever stored, so equality of polynomials is plain equality
-of term maps, and ``str`` lists the terms in increasing monomial order.
-There is no floating point anywhere in this module.
+< ... .  A monomial, as callers see it, is a tuple of (variable, exponent)
+pairs sorted by variable.
+
+Inside, a polynomial holds the sorted tuple of the variables its terms use,
+its *ring*, and a dict from packed monomials to nonzero integer
+coefficients.  A packed monomial is one int with a field per ring variable,
+the first variable in the most significant field, holding its exponent, so
+the product of two monomials over one ring is the sum of their ints.  Every
+field has the same width: the narrowest of 8, 16, 32, ... bits that keeps
+each field's top bit clear, so the sum of two exponents never carries into
+the next field.  Operands over different rings or widths are first laid out
+over the union of their rings, at the wider width, by moving whole runs of
+adjacent fields.  The representation is canonical: no zero coefficient is
+stored, the ring holds exactly the variables some term uses (cancellation
+drops the others) and the width is the narrowest that fits, so equality of
+polynomials is equality of ring, width and term map.  ``str`` lists the
+terms in increasing order of their (variable, exponent) tuples, and
+``terms`` is the map keyed by those tuples.  There is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import namedtuple
-from typing import Iterable, Mapping, NamedTuple, Union
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 _FAM_Z = 0
 _FAM_W = 1
 _FAM_Y = 2
 _FAM_X = 3
+
+_BITS = 8  # the narrowest field width; wider exponents double it as often as needed
+_LEAF = 4  # fields that ``terms`` and ``str`` decode together, once per value
 
 
 class Variable(NamedTuple):
@@ -76,6 +94,7 @@ def x_var(i: int, j: int) -> Variable:
 # A monomial is a tuple of (Variable, exponent) pairs, sorted by variable,
 # every exponent >= 1.  The empty tuple is the constant monomial.
 Monomial = tuple[tuple[Variable, int], ...]
+Ring = tuple[Variable, ...]
 
 
 def monomial(powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) -> Monomial:
@@ -93,22 +112,6 @@ def monomial(powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) ->
             raise ValueError(f"exponent of {v} must be an integer >= 0, got {e!r}")
         merged[v] = merged.get(v, 0) + e
     return tuple(sorted((v, e) for v, e in merged.items() if e))
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for v, _ in b:
-        if v in merged:
-            break
-    else:  # no shared variable, as in every s_L(z) * t_R(w): only an ordering is left
-        return tuple(sorted(a + b))
-    for v, e in b:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
 
 
 def _canonical_terms(entries: Iterable[tuple[object, int]]) -> dict[Monomial, int]:
@@ -130,31 +133,194 @@ def _canonical_terms(entries: Iterable[tuple[object, int]]) -> dict[Monomial, in
     return out
 
 
+def _width(top: int) -> int:
+    """The narrowest field width that holds ``top``'s bit length with the top bit clear."""
+    bits = _BITS
+    while top >> (bits - 1):
+        bits *= 2
+    return bits
+
+
+def _repunit(fields: int, bits: int) -> int:
+    """A 1 in the lowest bit of each of ``fields`` fields of ``bits`` bits."""
+    return ((1 << fields * bits) - 1) // ((1 << bits) - 1)
+
+
+def _packed(terms: dict[Monomial, int]) -> tuple[Ring, int, dict[int, int]]:
+    """Ring, width and packed term map of a canonical tuple-keyed term map."""
+    ring = tuple(sorted({v for mono in terms for v, _ in mono}))
+    bits = _width(max((e for mono in terms for _, e in mono), default=0))
+    shift = {v: bits * i for i, v in enumerate(reversed(ring))}
+    return ring, bits, {sum(e << shift[v] for v, e in mono): c for mono, c in terms.items()}
+
+
+def _relaid(terms: dict[int, int], moves: list[tuple[int, int]]) -> dict[int, int]:
+    """``terms`` with each key rebuilt as the sum of ``(key & mask) << shift`` over ``moves``.
+
+    Every move is a run of fields that shift together; the masks cover
+    every field of the keys.
+    """
+    if len(moves) == 1 and not moves[0][1]:  # one run that stays where it is
+        return terms
+    out = {}
+    for k, c in terms.items():
+        key = 0
+        for mask, shift in moves:
+            key |= (k & mask) << shift
+        out[key] = c
+    return out
+
+
+def _widened(terms: dict[int, int], fields: int, bits: int, into_bits: int) -> dict[int, int]:
+    """``terms`` over the same ring of ``fields`` variables, at the wider width ``into_bits``."""
+    mask = (1 << bits) - 1
+    return _relaid(terms, [(mask << bits * i, (into_bits - bits) * i) for i in range(fields)])
+
+
+def _union(base: Ring, other: Ring, bits: int) -> tuple[Ring, list, list]:
+    """The sorted union of two rings, and the moves that lay each ring's keys out over it.
+
+    Each variable of ``other`` missing from ``base`` is inserted at the spot
+    ``bisect`` finds, so a run of ``base`` fields moves up by the number of
+    variables inserted below it.
+    """
+    n, ring, start = len(base), [], 0
+    spots = []  # the base index each inserted variable goes before, ascending
+    targets = []  # the union index of each variable of ``other``
+    for v in other:
+        spot = bisect_left(base, v)
+        if spot < n and base[spot] == v:
+            targets.append(spot + len(spots))
+        else:
+            ring += base[start:spot]
+            start = spot
+            targets.append(len(ring))
+            ring.append(v)
+            spots.append(spot)
+    ring = tuple(ring) + base[start:] if spots else base
+    base_moves, high, lift = [], n, 0
+    for spot in reversed(spots):
+        if spot < high:  # base indices [spot, high) sit above ``lift`` inserted variables
+            base_moves.append((((1 << bits * (high - spot)) - 1) << bits * (n - high), bits * lift))
+            high = spot
+        lift += 1
+    if high:
+        base_moves.append(((1 << bits * high) - 1 << bits * (n - high), bits * lift))
+    other_moves: list[tuple[int, int]] = []
+    top = len(ring) - 1
+    for low, target in enumerate(reversed(targets)):
+        field, shift = (1 << bits) - 1 << bits * low, bits * (top - target - low)
+        if other_moves and other_moves[-1][1] == shift:
+            other_moves[-1] = (other_moves[-1][0] | field, shift)
+        else:
+            other_moves.append((field, shift))
+    return ring, base_moves, other_moves
+
+
+def _aligned(
+    p: "SparsePolynomial", q: "SparsePolynomial"
+) -> tuple[Ring, int, dict[int, int], dict[int, int]]:
+    """The union of the two rings, the wider width, and both term maps laid out over them."""
+    bits = max(p._bits, q._bits)
+    a = p._terms if p._bits == bits else _widened(p._terms, len(p._ring), p._bits, bits)
+    b = q._terms if q._bits == bits else _widened(q._terms, len(q._ring), q._bits, bits)
+    if p._ring == q._ring or not q._ring:  # a constant's key is 0 in any layout
+        return p._ring, bits, a, b
+    if not p._ring:
+        return q._ring, bits, a, b
+    if len(p._ring) < len(q._ring):
+        ring, b_moves, a_moves = _union(q._ring, p._ring, bits)
+    else:
+        ring, a_moves, b_moves = _union(p._ring, q._ring, bits)
+    return ring, bits, _relaid(a, a_moves), _relaid(b, b_moves)
+
+
+def _trimmed(ring: Ring, bits: int, terms: dict[int, int]) -> "SparsePolynomial":
+    """The canonical polynomial of a term map whose ring or width may be wider than it needs.
+
+    A field that is zero in every term is dropped, and the others move down
+    over it, at the narrowest width their exponents allow.
+    """
+    used = reduce(or_, terms, 0)  # each field as long as the field's largest exponent
+    mask = (1 << bits) - 1
+    fields = [used >> bits * i & mask for i in range(len(ring))]  # the lowest field first
+    narrow = _width(max(fields, default=0))
+    if all(fields) and narrow == bits:
+        return SparsePolynomial._raw(ring, bits, terms)
+    kept = [i for i, field in enumerate(fields) if field]
+    moves = [(mask << bits * i, bits * i - narrow * j) for j, i in enumerate(kept)]
+    return SparsePolynomial._raw(
+        tuple(ring[-1 - i] for i in reversed(kept)),
+        narrow,
+        {sum((k & field) >> shift for field, shift in moves): c for k, c in terms.items()},
+    )
+
+
+class _Pieces(dict):
+    """The piece of each value of a run of ring fields, worked out once per value.
+
+    A value's piece is ``build`` of its (variable, exponent) pairs.  A run
+    of more than ``_LEAF`` fields is split in two, and a value's piece is
+    the concatenation of its halves' pieces, each memoized in turn.
+    """
+
+    __slots__ = ("ring", "bits", "build", "halves")
+
+    def __init__(self, ring: Ring, bits: int, build: Callable):
+        self.ring, self.bits, self.build = ring, bits, build
+        self.halves = _halves(ring, bits, build) if len(ring) > _LEAF else None
+
+    def __missing__(self, value: int):
+        if self.halves is None:
+            n, mask = len(self.ring), (1 << self.bits) - 1
+            shifts = range(self.bits * (n - 1), -1, -self.bits)
+            pairs = zip(self.ring, shifts)
+            piece = self.build([(v, e) for v, shift in pairs if (e := value >> shift & mask)])
+        else:
+            high, shift, mask, low = self.halves
+            piece = high[value >> shift] + low[value & mask]
+        self[value] = piece
+        return piece
+
+
+def _halves(ring: Ring, bits: int, build: Callable) -> tuple[_Pieces, int, int, _Pieces]:
+    """``(high, shift, mask, low)``: the pieces of a packed monomial over ``ring`` are
+    ``high[key >> shift] + low[key & mask]``."""
+    half = len(ring) // 2
+    shift = bits * (len(ring) - half)
+    high, low = _Pieces(ring[:half], bits, build), _Pieces(ring[half:], bits, build)
+    return high, shift, (1 << shift) - 1, low
+
+
 class _PowerText(dict):
-    """``name`` or ``name^e`` for each (variable, exponent) pair, rendered once."""
+    """``*name`` or ``*name^e`` for each (variable, exponent) pair, rendered once."""
 
     def __missing__(self, pair: tuple[Variable, int]) -> str:
         v, e = pair
-        text = self[pair] = str(v) if e == 1 else f"{v}^{e}"
+        text = self[pair] = f"*{v}" if e == 1 else f"*{v}^{e}"
         return text
 
 
 _POWER_TEXT = _PowerText()
 
 
+def _factor_text(pairs: list[tuple[Variable, int]]) -> str:
+    return "".join(map(_POWER_TEXT.__getitem__, pairs))
+
+
 class SparsePolynomial:
     """Immutable exact polynomial; supports ``+ - *`` with ints and peers."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_ring", "_bits", "_terms")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms = _canonical_terms((terms or {}).items())
+        self._ring, self._bits, self._terms = _packed(_canonical_terms((terms or {}).items()))
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, int]) -> "SparsePolynomial":
-        # internal fast path: terms already canonical
+    def _raw(cls, ring: Ring, bits: int, terms: dict[int, int]) -> "SparsePolynomial":
+        # internal fast path: ring, width and terms already canonical
         p = cls.__new__(cls)
-        p._terms = terms
+        p._ring, p._bits, p._terms = ring, bits, terms
         return p
 
     @classmethod
@@ -162,12 +328,13 @@ class SparsePolynomial:
         cls, entries: Iterable[tuple[Mapping[Variable, int], int]]
     ) -> "SparsePolynomial":
         """Build from (powers mapping, coefficient) pairs, merging duplicates."""
-        return cls._raw(_canonical_terms(entries))
+        return cls._raw(*_packed(_canonical_terms(entries)))
 
     @property
     def terms(self) -> dict[Monomial, int]:
-        """Copy of the canonical term map."""
-        return dict(self._terms)
+        """The canonical term map, keyed by (variable, exponent) tuples; a fresh dict."""
+        high, shift, mask, low = _halves(self._ring, self._bits, tuple)
+        return {high[k >> shift] + low[k & mask]: c for k, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -179,10 +346,10 @@ class SparsePolynomial:
         q = _coerce(other)
         if q is None:
             return NotImplemented
-        return self._terms == q._terms
+        return self._ring == q._ring and self._bits == q._bits and self._terms == q._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._ring, self._bits, frozenset(self._terms.items())))
 
     def __add__(self, other: "PolyLike") -> "SparsePolynomial":
         q = _coerce(other)
@@ -192,19 +359,22 @@ class SparsePolynomial:
             return q
         if not q._terms:
             return self
-        out = dict(self._terms)
-        for mono, coeff in q._terms.items():
-            merged = out.get(mono, 0) + coeff
-            if merged:
-                out[mono] = merged
-            else:
-                del out[mono]
-        return SparsePolynomial._raw(out)
+        ring, bits, a, b = _aligned(self, q)
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        get = out.get
+        for k, c in b.items():
+            out[k] = get(k, 0) + c
+        if 0 in out.values():
+            return _trimmed(ring, bits, {k: c for k, c in out.items() if c})
+        return SparsePolynomial._raw(ring, bits, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial._raw({m: -c for m, c in self._terms.items()})
+        negated = {k: -c for k, c in self._terms.items()}
+        return SparsePolynomial._raw(self._ring, self._bits, negated)
 
     def __sub__(self, other: "PolyLike") -> "SparsePolynomial":
         q = _coerce(other)
@@ -221,21 +391,33 @@ class SparsePolynomial:
     def __mul__(self, other: "PolyLike") -> "SparsePolynomial":
         if isinstance(other, int) and not isinstance(other, bool):
             if other == 0:
-                return SparsePolynomial._raw({})
-            return SparsePolynomial._raw({m: c * other for m, c in self._terms.items()})
+                return _ZERO
+            return SparsePolynomial._raw(
+                self._ring, self._bits, {k: c * other for k, c in self._terms.items()}
+            )
         q = _coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for mono_a, coeff_a in self._terms.items():
-            for mono_b, coeff_b in q._terms.items():
-                mono = _mono_mul(mono_a, mono_b)
-                merged = out.get(mono, 0) + coeff_a * coeff_b
-                if merged:
-                    out[mono] = merged
-                else:
-                    del out[mono]
-        return SparsePolynomial._raw(out)
+        if not self._terms or not q._terms:
+            return _ZERO
+        ring, bits, a, b = _aligned(self, q)
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        # A product uses every variable of both factors, and its exponents
+        # cannot carry out of a field; a field may only need its top bit, if
+        # some factor's exponent reaches the bit below.
+        half = _repunit(len(ring), bits) << (bits - 2)
+        if (reduce(or_, a) | reduce(or_, b)) & half and reduce(or_, out) & half << 1:
+            return SparsePolynomial._raw(ring, 2 * bits, _widened(out, len(ring), bits, 2 * bits))
+        return SparsePolynomial._raw(ring, bits, out)
 
     __rmul__ = __mul__
 
@@ -268,11 +450,15 @@ class SparsePolynomial:
                 _check_integer(value, v)
                 return value
 
+        n, bits, mask = len(self._ring), self._bits, (1 << self._bits) - 1
+        fields = [(lookup(v), bits * (n - 1 - i)) for i, v in enumerate(self._ring)]
         total = 0
-        for mono, coeff in self._terms.items():
+        for k, coeff in self._terms.items():
             term = coeff
-            for v, e in mono:
-                term *= lookup(v) ** e
+            for value, shift in fields:
+                e = k >> shift & mask
+                if e:
+                    term *= value**e
             total += term
         return total
 
@@ -287,41 +473,50 @@ class SparsePolynomial:
         if not rules:
             return self
         images = {v: poly(target) for v, target in rules.items()}
-        result = SparsePolynomial._raw({})
-        for mono, coeff in self._terms.items():
-            term = poly(coeff)
+        result = _ZERO
+        for mono, coeff in self.terms.items():
+            term = SparsePolynomial._raw(
+                *_packed({tuple((v, e) for v, e in mono if v not in images): coeff})
+            )
             for v, e in mono:
-                base = images.get(v)
-                if base is None:
-                    term = term * SparsePolynomial._raw({((v, e),): 1})
-                else:
-                    term = term * base**e
+                if v in images:
+                    term = term * images[v] ** e
             result = result + term
         return result
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        chunks = []
-        for mono in sorted(self._terms):
-            coeff = self._terms[mono]
-            body = "*".join(map(_POWER_TEXT.__getitem__, mono))
-            if not body:
-                text = str(abs(coeff))
-            elif abs(coeff) == 1:
-                text = body
+        terms, bits = self._terms, self._bits
+        top = _repunit(len(self._ring), bits) << (bits - 1)  # the top bit of every field
+        below = top - (top >> (bits - 1))  # every other bit of every field
+        # Sorting by ``key | gaps`` sorts by the (variable, exponent) tuples:
+        # ``gaps`` sets the top bit of each zero field above the last nonzero
+        # one, so a variable that a monomial skips sorts after every power of
+        # it, and one past its last variable sorts before every power of it.
+        # ``nonzero`` holds the top bit of each nonzero field, and
+        # ``-(nonzero & -nonzero)`` every bit from the last one's up.
+        order = [k | ((top ^ nonzero) & -(nonzero & -nonzero))
+                 for k in terms for nonzero in [(k + below) & top]]
+        keep = ~top
+        high, shift, mask, low = _halves(self._ring, bits, _factor_text)
+        parts = []
+        for s in sorted(order):
+            k = s & keep
+            coeff, factors = terms[k], high[k >> shift] + low[k & mask]  # "*y1*z^2", or ""
+            sign = " - " if coeff < 0 else " + "
+            if factors and abs(coeff) == 1:
+                parts.append(sign + factors[1:])
             else:
-                text = f"{abs(coeff)}*{body}"
-            chunks.append(("-" if coeff < 0 else "+", text))
-        sign, text = chunks[0]
-        out = ("-" if sign == "-" else "") + text
-        for sign, text in chunks[1:]:
-            out += f" {sign} {text}"
-        return out
+                parts.append(f"{sign}{abs(coeff)}{factors}")
+        out = "".join(parts)
+        return ("-" if out[1] == "-" else "") + out[3:]
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
 
+
+_ZERO = SparsePolynomial._raw((), _BITS, {})
 
 PolyLike = Union[SparsePolynomial, Variable, int]
 
@@ -330,9 +525,9 @@ def _coerce(value: object) -> SparsePolynomial | None:
     if isinstance(value, SparsePolynomial):
         return value
     if isinstance(value, Variable):
-        return SparsePolynomial._raw({((value, 1),): 1})
+        return SparsePolynomial._raw((value,), _BITS, {1: 1})
     if isinstance(value, int) and not isinstance(value, bool):
-        return SparsePolynomial._raw({(): value} if value else {})
+        return SparsePolynomial._raw((), _BITS, {0: value}) if value else _ZERO
     return None
 
 

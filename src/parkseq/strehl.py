@@ -63,6 +63,7 @@ from .poly import (
     Variable,
     W,
     Z,
+    _check_integer,
     poly,
     x_var,
     y_var,
@@ -174,6 +175,7 @@ def identity_sides(
     """
     A = _as_index_set(A)
     _check_identity(identity, A)
+    _check_integer(budget, "budget")
     if len(A) > budget:
         raise ValueError(
             f"|A| = {len(A)} exceeds the symbolic expansion budget {budget};"
@@ -356,8 +358,10 @@ def random_identity_check(
     A = _as_index_set(A)
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
+    _check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    _check_integer(seed, "seed")
     omit = _omitted_split(identity, A, omit)
     return all(lhs == rhs for lhs, rhs in _trial_sides(identity, A, trials, seed, omit))
 
@@ -419,6 +423,8 @@ def abel_rothe_specialize(
     A = _as_index_set(A)
     if which not in ("t", "s"):
         raise ValueError(f"which must be 't' or 's', got {which!r}")
+    _check_integer(xi, "xi")
+    _check_integer(eta, "eta")
     y = dict.fromkeys(A, eta)
     x = dict.fromkeys(combinations(A, 2), xi)
     return poly(_product(A, which, poly(Z), y, x))

@@ -17,7 +17,13 @@ from parkseq.core import (
 )
 from parkseq.counting import IndexSet, count_by_enumeration, count_by_formula, count_report
 from parkseq.poly import SparsePolynomial, Z, monomial, x_var, y_var
-from parkseq.strehl import f_as_t_specialization, verify_recurrence
+from parkseq.strehl import (
+    abel_rothe_specialize,
+    f_as_t_specialization,
+    identity_sides,
+    random_identity_check,
+    verify_recurrence,
+)
 
 
 def validate_layout(layout, cars, z):
@@ -175,6 +181,11 @@ def test_every_entry_point_refuses_z_with_one_message(entry, z):
         (lambda: verify_recurrence((1,), True, 1), "next car size must be an integer >= 1"),
         (lambda: y_var(True), "y index must be an integer >= 1"),
         (lambda: x_var(True, 2), "x indices must be integers with 0 < i < j"),
+        (lambda: abel_rothe_specialize((1, 2), "t", True, 1), "xi must be an integer"),
+        (lambda: abel_rothe_specialize((1, 2), "t", 1, True), "eta must be an integer"),
+        (lambda: random_identity_check("easy", (1, 2), trials=True), "trials must be an integer"),
+        (lambda: random_identity_check("easy", (1, 2), seed=True), "seed must be an integer"),
+        (lambda: identity_sides("easy", (1, 2), budget=True), "budget must be an integer"),
     ],
     ids=[
         "z",
@@ -189,12 +200,36 @@ def test_every_entry_point_refuses_z_with_one_message(entry, z):
         "next_size",
         "y_var",
         "x_var",
+        "abel_rothe-xi",
+        "abel_rothe-eta",
+        "random_check-trials",
+        "random_check-seed",
+        "identity_sides-budget",
     ],
 )
 def test_every_input_check_refuses_bool(entry, message):
     """``bool`` is an ``int`` subclass, but a flag is never a size, spot, index or count."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}.*True"):
         entry()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (lambda v: abel_rothe_specialize((1, 2), "t", v, 1), "xi must be an integer"),
+        (lambda v: abel_rothe_specialize((1, 2), "s", 1, v), "eta must be an integer"),
+        (lambda v: random_identity_check("sheffer", (1, 2), trials=v), "trials must be an integer"),
+        (lambda v: random_identity_check("sheffer", (1, 2), seed=v), "seed must be an integer"),
+        (lambda v: identity_sides("easy", (1, 2), budget=v), "budget must be an integer"),
+    ],
+    ids=["xi", "eta", "trials", "seed", "budget"],
+)
+@pytest.mark.parametrize("value", [2.5, "3", None])
+def test_count_arguments_are_refused_by_their_one_check(entry, message, value):
+    """A flag, a float or a string is no count, seed or constant: each is refused
+    by the argument's own check, naming it, before any work."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{message}, got {value!r}')}$"):
+        entry(value)
 
 
 def test_trailer_inside_preference_zone_is_allowed():

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from parkseq.poly import (
@@ -368,3 +368,134 @@ class TestVariableContract:
         assert degree(q, x_var(1, 4)) == 0
         assert variables(q) == {Variable(0), y_var(4), x_var(2, 4)}
         assert all(isinstance(v, Variable) for v in variables(q))
+
+
+def test_exponents_are_not_bounded():
+    """Exponents of any size are held exactly; none is refused for its size."""
+    assert str(poly(Z) ** 2**20) == "z^1048576"
+    assert poly(Z) ** 40000 * poly(Z) ** 40000 == poly(Z) ** 80000
+    assert (poly(Z) ** 127 * poly(Z)).terms == {((Z, 128),): 1}
+    big = poly(W) ** 300 * poly(y_var(2)) ** 5
+    assert (big - big * 1 + poly(Z) ** 3).terms == {((Z, 3),): 1}
+    assert big * poly(W) ** 40000 == SparsePolynomial.from_terms([({W: 40300, y_var(2): 5}, 1)])
+
+
+def test_cancellation_drops_the_variables_no_term_uses():
+    p = poly(Z) * poly(y_var(1)) + poly(Z) - poly(Z) * poly(y_var(1))
+    for q in (poly(Z), SparsePolynomial.from_terms([({Z: 1}, 1)])):
+        assert p == q
+        assert hash(p) == hash(q)
+        assert p.terms == q.terms == {((Z, 1),): 1}
+        assert str(p) == str(q) == "z"
+    y = poly(y_var(1))
+    assert (poly(Z) + y) * (poly(Z) - y) + y**2 == poly(Z) ** 2
+
+
+# Fourteen variables from all four families, in ring order; more than three
+# rings' worth of four-field chunks, so sets drawn from them cross chunk and
+# run boundaries in every way.
+REFERENCE_VARS = [
+    Z,
+    W,
+    *(y_var(j) for j in (1, 2, 5, 9, 12)),
+    *(x_var(i, j) for i, j in ((1, 2), (1, 9), (2, 5), (2, 12), (5, 9), (5, 12), (9, 12))),
+]
+REFERENCE_POINT = dict(zip(REFERENCE_VARS, (3, -2, 5, -7, 2, 11, -1, 4, -3, 6, 1, -5, 2, 7)))
+
+
+def _ref_canonical(terms):
+    return {mono: c for mono, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, 0) + c
+    return _ref_canonical(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for mono_a, ca in a.items():
+        for mono_b, cb in b.items():
+            powers = dict(mono_a)
+            for v, e in mono_b:
+                powers[v] = powers.get(v, 0) + e
+            mono = tuple(sorted(powers.items()))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return _ref_canonical(out)
+
+
+def _ref_evaluate(terms, point):
+    total = 0
+    for mono, c in terms.items():
+        for v, e in mono:
+            c *= point[v] ** e
+        total += c
+    return total
+
+
+@st.composite
+def _related_pairs(draw):
+    """Two term maps over variable sets that are disjoint, interleaved, nested or overlapping."""
+    pool = draw(st.lists(st.sampled_from(REFERENCE_VARS), min_size=2, max_size=14, unique=True))
+    pool.sort()
+    relation = draw(st.sampled_from(["disjoint", "interleaved", "nested", "overlapping"]))
+    if relation == "disjoint":
+        cut = draw(st.integers(1, len(pool) - 1))
+        sides = "a" * cut + "b" * (len(pool) - cut)
+    elif relation == "interleaved":
+        sides = "ab" * len(pool)
+    else:  # "+" marks a variable both sets hold
+        labels = "a+" if relation == "nested" else "ab+"
+        sides = draw(st.text(labels, min_size=len(pool), max_size=len(pool)))
+    sets = tuple(
+        [v for v, side in zip(pool, sides) if side in (mine, "+")] or pool[:1] for mine in "ab"
+    )
+    if draw(st.booleans()):
+        sets = sets[::-1]
+
+    def terms(variables):
+        entries = draw(st.lists(
+            st.tuples(
+                st.dictionaries(
+                    st.sampled_from(variables), st.integers(1, 40), max_size=len(variables)
+                ),
+                st.integers(-6, 6).filter(bool),
+            ),
+            max_size=5,
+        ))
+        out = {}
+        for powers, c in entries:
+            mono = tuple(sorted(powers.items()))
+            out[mono] = out.get(mono, 0) + c
+        return _ref_canonical(out)
+
+    return terms(sets[0]), terms(sets[1])
+
+
+@given(_related_pairs())
+# an insertion before a shared variable
+@example(({((Z, 1), (W, 1)): 1}, {((W, 1), (y_var(1), 1)): 1}))
+def test_arithmetic_matches_a_literal_dict_of_tuples_reference(pair):
+    ref_a, ref_b = pair
+    a, b = SparsePolynomial(ref_a), SparsePolynomial(ref_b)
+    square = _ref_mul(_ref_mul(ref_a, ref_b), _ref_mul(ref_a, ref_b))  # exponents past 127
+    results = [
+        (a, ref_a),
+        (a + b, _ref_add(ref_a, ref_b)),
+        (a - b, _ref_add(ref_a, {m: -c for m, c in ref_b.items()})),
+        (a * b, _ref_mul(ref_a, ref_b)),
+        ((a * b) * (a * b), square),
+        ((a * b) * a, _ref_mul(_ref_mul(ref_a, ref_b), ref_a)),  # one factor past 63
+        (a * b - b * a + a, ref_a),  # cancellation back to a's ring
+        (a * 3 + b, _ref_add({m: 3 * c for m, c in ref_a.items()}, ref_b)),
+    ]
+    for p, ref in results:
+        rebuilt = SparsePolynomial(ref)
+        assert p.terms == ref
+        assert str(p) == _literal_render(ref)
+        assert p.evaluate(REFERENCE_POINT) == _ref_evaluate(ref, REFERENCE_POINT)
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+    assert (a == b) is (ref_a == ref_b)
+    assert (a + b == b + a) and (a * b == b * a)
