@@ -181,8 +181,11 @@ def _rows_identity(args: argparse.Namespace, name: str, ground: IndexSet | None)
         if args.randomized or len(A) > SYMBOLIC_BUDGET:
             trials = list(_trial_sides(name, A, args.trials, args.seed))
             # the row shows its first failing trial's sides, or else its first trial's
-            lhs, rhs = next((pair for pair in trials if pair[0] != pair[1]), trials[0])
+            failing = next((k for k, (lhs, rhs) in enumerate(trials) if lhs != rhs), None)
+            lhs, rhs = trials[failing or 0]
             instance = f"A={{{_csv(A)}}} randomized trials={args.trials} seed={args.seed}"
+            if failing is not None:  # trial k is the k-th draw, so --trials k replays it
+                instance += f" trial={failing + 1}"
             yield {"suite": name, "instance": instance, "lhs": lhs, "rhs": rhs, "match": lhs == rhs}
         else:
             lhs_p, rhs_p = identity_sides(name, A)

@@ -349,6 +349,11 @@ class SparsePolynomial:
         return self._ring == q._ring and self._bits == q._bits and self._terms == q._terms
 
     def __hash__(self) -> int:
+        # a constant or a bare variable hashes as the int or the Variable it equals
+        if not self._ring:
+            return hash(self._terms.get(0, 0))
+        if len(self._ring) == 1 and self._terms == {1: 1}:
+            return hash(self._ring[0])
         return hash((self._ring, self._bits, frozenset(self._terms.items())))
 
     def __add__(self, other: "PolyLike") -> "SparsePolynomial":

@@ -6,13 +6,13 @@ For a finite index set A, each member a of A has one linear form
 
 The Sheffer-type family s_A is the product of the forms over every member of
 A; the binomial-type family t_A is the main variable times the product over
-every member except the maximum, and 1 on the empty set.  ``_join`` is the
-one place the forms are written: it adds one member to a set, growing every
-earlier form by one x term and giving the new member its form.  ``_forms``
-folds it over A and ``_product`` multiplies the result, so expansion, exact
-values, the head factor and the specializations all multiply forms built by
-it, specialized before anything is expanded.  Setting all x and all y parameters to constants
-collapses both families to the classical Abel--Rothe polynomials.
+every member except the maximum, and 1 on the empty set.  ``_forms`` writes
+the forms of a set, adding its members one at a time: every earlier form
+gains one x term and the new member gets its form.  ``_product`` multiplies
+the result, so expansion, exact values, the head factor and the
+specializations all multiply forms built by it, specialized before anything
+is expanded.  Setting all x and all y parameters to constants collapses both
+families to the classical Abel--Rothe polynomials.
 
 Three identities connect the families:
 
@@ -25,13 +25,12 @@ All sums inside s_L and t_R are taken relative to the sub-ground-set (L, R),
 not to A; with A-relative sums the sheffer identity already fails on {1, 2}.
 Each identity can be checked symbolically (canonical expansion, small sets)
 or probabilistically (exact big-integer evaluation at seeded random points).
-The exact right side of a convolution comes from a depth-first search over
-the members of A in increasing order.  x is read once, one column per
-member, and each member joins the left or the right side through ``_join``,
-so splits that share a prefix share its forms and no (a, b) key is built per
-form.  The last member joins inside the leaf pair, which multiplies out both
-splits it completes: a split costs O(|A|) beyond its two products, and the
-search holds O(|A|^2) values.
+The exact right side of a convolution is the top coefficient of a subset
+convolution, summed by a blocked subset transform: the splits of the (at
+most ``_BLOCK``) smallest members of A are laid out as lists indexed by
+bitmask, one pair of lists per split of the other members, so list
+operations in C do the work of each split.  A split costs O(|A|) products
+and sums, and the lists hold 2^``_BLOCK`` values at most, whatever |A| is.
 
 At the parking point (A = {1..n}, all x = 1, y_j the j-th car size) t_A(z)
 is F(sizes, z), the closed-form parking count, and z * s_L(z) * t_R(1) is
@@ -45,7 +44,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Literal, Mapping
 
 from .core import SizesLike, _check_z, as_car_sizes
@@ -70,25 +69,9 @@ from .poly import (
 )
 
 SYMBOLIC_BUDGET = 5
+_BLOCK = 10  # _split_sum lists one value per subset of A's _BLOCK smallest members
 IdentityName = Literal["easy", "sheffer", "binomial"]
 _IDENTITIES = ("easy", "sheffer", "binomial")
-
-
-def _join(forms: list, places: Iterable[int], col: list, lower) -> list:
-    """The forms of a side after a member b, larger than all of its members, joins it.
-
-    ``forms[k]`` is the linear form of the member at position ``places[k]``
-    of the ground set A, and ``col`` is b's column of x,
-    ``col[p] = x[A[p], b]``: every form already there gains its member's x
-    term, and ``lower``, the main variable plus the y's of the side's members
-    and of b, becomes b's own form.  Ints and polynomials work alike.
-    """
-    return [*map(add, forms, map(col.__getitem__, places)), lower]
-
-
-def _columns(A: tuple, x: Mapping) -> list:
-    """x read by column: ``cols[i][p] = x[A[p], A[i]]`` for every p < i."""
-    return [[x[a, b] for a in A[:i]] for i, b in enumerate(A)]
 
 
 def _family(family: str, at, forms: list):
@@ -106,13 +89,15 @@ def _forms(A: Iterable[int], at, y: Mapping, x: Mapping) -> list:
     """The linear forms of the members of A, in increasing order.
 
     Member a's form is ``at + sum(y[j] for j <= a) + sum(x[a, j] for j > a)``
-    with j running over A, grown one member at a time by ``_join``.
+    with j running over A.  The forms grow one member b at a time: every
+    earlier form gains its x term with b, read once, and b's own form is the
+    main variable plus the y's so far.  Ints and polynomials work alike.
     """
     A = tuple(A)
     forms, lower = [], at
-    for i, col in enumerate(_columns(A, x)):
-        lower += y[A[i]]
-        forms = _join(forms, range(i), col, lower)
+    for i, b in enumerate(A):
+        lower += y[b]
+        forms = [*map(add, forms, [x[a, b] for a in A[:i]]), lower]
     return forms
 
 
@@ -233,30 +218,66 @@ def t_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:
 def _split_sum(A: IndexSet, family: str, z: int, w: int, y: Mapping, x: Mapping) -> int:
     """Sum of ``family``_L(z) * t_R(w) over every split (L, R) of A.
 
-    A depth-first search over the members of A in increasing order: each one
-    joins the left side (main variable z) or the right side (w) through
-    ``_join``, so splits that share a prefix share its forms.  x is read once,
-    by column; each side travels as its forms, its ``lower`` and the
-    positions of its members, and the last member joins inside the leaf
-    pair, which multiplies out both of its splits.  The search holds four
-    sides per level, O(|A|^2) values.
+    A blocked subset transform.  The k = min(|A|, ``_BLOCK``) smallest
+    members of A form the block, and bit p of a block index l stands for
+    ``A[p]``.  For each subset h of the other members, one list holds the
+    left side over h + l and one the right side over the rest of A, for
+    every l; the right side of l sits at index 2^k - 1 - l, so one ``map``
+    over the left list and the reversed right one sums the 2^k splits that
+    put h on the left.  Nothing is divided, so zero forms are safe, and the
+    lists hold 2^k values for any |A|.
     """
-    if not A:
-        return 1
-    cols, ys, last = _columns(A, x), [y[b] for b in A], len(A) - 1
+    low, high = A[:_BLOCK], A[_BLOCK:]
+    sums = [0]  # sums[l]: the y's of the members in l
+    for a in low:
+        sums += [s + y[a] for s in sums]
+    # Member p sits at the indices (2u + 1) * 2^p + v for v < 2^p and
+    # u < 2^(k - p - 1), where its form is a term fixed by the side plus
+    # sums[v] plus above[u], its x's with the members above it that u picks.
+    members = []
+    for p, a in enumerate(low):
+        above = [0]
+        for b in low[p + 1 :]:
+            above += [s + x[a, b] for s in above]
+        members.append((a, 1 << p, above))
 
-    def grow(i, left, lplaces, llower, right, rplaces, rlower) -> int:
-        col, lnext, rnext = cols[i], llower + ys[i], rlower + ys[i]
-        joined_left = _join(left, lplaces, col, lnext)
-        joined_right = _join(right, rplaces, col, rnext)
-        if i == last:  # the leaf pair: A[i] joins the left side, or the right
-            on_left = _family(family, z, joined_left) * _family("t", w, right)
-            return on_left + _family(family, z, left) * _family("t", w, joined_right)
-        return grow(i + 1, joined_left, (*lplaces, i), lnext, right, rplaces, rlower) + grow(
-            i + 1, left, lplaces, llower, joined_right, (*rplaces, i), rnext
-        )
+    def values(family: str, at: int, h: list) -> list:
+        """``family`` at ``at`` over h + l, for every block index l."""
+        vals = [1] * len(sums) if family == "s" else [at] * len(sums)
+        top = family == "t" and not h  # then t drops the form of l's top member
+        if h:
+            forms = _forms(h, at, y, x)  # a member of h gains sums[l] in h + l
+            if family == "t":
+                del forms[-1]  # the maximum's, h's last member
+            for form in forms:
+                vals = [v * (form + s) for v, s in zip(vals, sums)]
+        elif top:
+            vals[0] = 1  # t is 1 on the empty set
+        # Each form goes in by one slice per v or one per u, whichever are
+        # fewer; with ``top`` set, u = 0 is left out: there p is l's top member.
+        for a, half, above in members:
+            fixed = at + y[a]
+            for b in h:
+                fixed += x[a, b]
+            if half < len(above):
+                step = 2 * half
+                start, rows = (half + step, above[1:]) if top else (half, above)
+                for v in range(half):
+                    c, at_v = fixed + sums[v], slice(start + v, None, step)
+                    vals[at_v] = [e * (c + r) for e, r in zip(vals[at_v], rows)]
+            else:
+                for u in range(top, len(above)):
+                    c, at_u = fixed + above[u], slice((2 * u + 1) * half, (2 * u + 2) * half)
+                    vals[at_u] = [e * (c + s) for e, s in zip(vals[at_u], sums)]
+        return vals
 
-    return grow(0, [], (), z, [], (), w)
+    total = 0
+    for mask in range(1 << len(high)):
+        h, rest = [], []
+        for i, b in enumerate(high):
+            (h if mask >> i & 1 else rest).append(b)
+        total += sum(map(mul, values(family, z, h), reversed(values("t", w, rest))))
+    return total
 
 
 def _omitted_split(identity: str, A: IndexSet, omit) -> tuple[tuple, tuple] | None:
@@ -289,10 +310,10 @@ def identity_value_sides(
 ) -> tuple[int, int]:
     """Exact integer left and right sides of an identity at one assignment.
 
-    A convolution's right side is summed by ``_split_sum``, a depth-first
-    search that builds the forms of splits with a common prefix once and
-    multiplies out the last member's two splits together; a set of more
-    than ``PARTITION_LIMIT`` members is refused before any work.
+    A convolution's right side is summed by ``_split_sum``, a blocked
+    subset transform whose lists of at most 2^``_BLOCK`` values multiply
+    out the splits of A's smallest members together; a set of more than
+    ``PARTITION_LIMIT`` members is refused before any work.
 
     ``omit`` drops a single (left, right) decomposition from a convolution
     sum; dropping any term must break the identity, which is how the
@@ -345,9 +366,10 @@ def random_identity_check(
     Draws ``trials`` assignments with values uniform in [-10^6, 10^6] from a
     generator seeded with ``seed`` and compares both sides exactly; any
     disagreement ends the check.  A convolution's right side comes from
-    ``identity_value_sides``' split search, which walks all 2^|A| splits
-    but builds the forms of a common prefix once, so a split costs O(|A|)
-    additions beyond its two products.  The difference of the two sides has
+    ``identity_value_sides``' blocked subset transform, which sums all
+    2^|A| splits at O(|A|) products and sums each, done by list operations
+    in C rather than one interpreter step per split, so a trial on |A| + 1
+    members costs about two on |A|.  The difference of the two sides has
     total degree <= |A| + 1 and every variable is uniform over the
     2*10^6 + 1 integers drawn, so by the Schwartz--Zippel lemma a false
     identity passes one trial with probability <= (|A| + 1) / (2*10^6 + 1),
@@ -392,8 +414,9 @@ def verify_recurrence(sizes: SizesLike, next_size: int, z: int) -> CountReport:
     The left side is the closed form F for ``sizes`` extended by
     ``next_size``; the right side sums (z + sum of L's sizes) * F(L, z) *
     F(R, 1) over every ordered split (L, R) of the car indices, as z times
-    the sheffer right side at the parking point and w = 1, by the split
-    search.  ``tuples_scanned`` is the number of splits, 2**n.
+    the sheffer right side at the parking point and w = 1, by the blocked
+    subset transform of ``_split_sum``.  ``tuples_scanned`` is the number of
+    splits, 2**n.
     """
     cars = as_car_sizes(sizes)
     _check_z(z)

@@ -384,13 +384,15 @@ class TestVerify:
         assert len(calls) == 5
 
     def test_failed_randomized_row_shows_its_first_failing_trial(self, capsys, monkeypatch):
-        def sides(identity, A, trials, seed, omit=None):
-            yield from [(5, 5), (2, 3), (7, 9)]  # the first trial passes
-
-        monkeypatch.setattr("parkseq.cli._trial_sides", sides)
-        code, out, _ = run_cli(capsys, "verify", "sheffer", "--set", "1,2,3,4,5,6", "--trials", "3")
-        row = "sheffer A={1,2,3,4,5,6} randomized trials=3 seed=42: lhs=2 rhs=3 match=false\n"
-        assert (code, out) == (1, row)
+        """A failing row names its first failing trial, counted from 1."""
+        for trials, shown in (
+            ([(5, 5), (2, 3), (7, 9)], "trial=2: lhs=2 rhs=3"),  # the first trial passes
+            ([(7, 9), (5, 5), (2, 3)], "trial=1: lhs=7 rhs=9"),
+        ):
+            monkeypatch.setattr("parkseq.cli._trial_sides", lambda *args, **kw: iter(trials))
+            code, out, _ = run_cli(capsys, "verify", "sheffer", "--set", "1,2,3,4,5,6", "--trials", "3")
+            row = f"sheffer A={{1,2,3,4,5,6}} randomized trials=3 seed=42 {shown} match=false\n"
+            assert (code, out) == (1, row)
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,7 +1,7 @@
 """The closed form and the brute force share no code with the polynomial engine.
 
 The recurrence, the specialization of t and the identities all rest on the
-linear forms of ``strehl._join``.  ``core`` and ``counting`` are the routes
+linear forms of ``strehl._forms``.  ``core`` and ``counting`` are the routes
 they are checked against, so neither may import ``poly`` or ``strehl``, even
 inside a function.
 """

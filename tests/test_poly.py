@@ -271,6 +271,20 @@ def test_equal_polynomials_hash_equal(a, b):
     assert hash(a) == hash(SparsePolynomial(a.terms))
 
 
+@pytest.mark.parametrize(
+    "p,value",
+    [
+        (poly(5), 5),
+        (poly(Z) + 2 - poly(Z) - 2, 0),
+        (poly(Z), Z),
+        (poly(x_var(1, 2)) * (poly(W) + 1) - poly(x_var(1, 2)) * poly(W), x_var(1, 2)),
+    ],
+)
+def test_a_constant_or_a_variable_hashes_as_the_value_it_equals(p, value):
+    assert p == value and hash(p) == hash(value)
+    assert len({p, value}) == 1 and {value: "seen"}[p] == "seen"
+
+
 def test_random_assignment_is_seed_deterministic():
     first = ParameterAssignment.random_for((1, 3, 4), random.Random(5))
     second = ParameterAssignment.random_for((1, 3, 4), random.Random(5))
