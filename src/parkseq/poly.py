@@ -31,8 +31,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from functools import reduce
-from operator import or_
+from functools import lru_cache, reduce
+from operator import lt, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 _FAM_Z = 0
@@ -42,6 +42,7 @@ _FAM_X = 3
 
 _BITS = 8  # the narrowest field width; wider exponents double it as often as needed
 _LEAF = 4  # fields that ``terms`` and ``str`` decode together, once per value
+_DECODERS = 4  # decode memos kept, one per recent (ring, width, build)
 
 
 class Variable(NamedTuple):
@@ -292,6 +293,12 @@ def _halves(ring: Ring, bits: int, build: Callable) -> tuple[_Pieces, int, int, 
     return high, shift, (1 << shift) - 1, low
 
 
+# ``terms`` and ``str`` share the memos of the rings they decoded last, so a
+# second call on a ring (the other side of an identity, or the same
+# polynomial again) starts warm; the bound caps the memory the memos hold.
+_decoder = lru_cache(maxsize=_DECODERS)(_halves)
+
+
 class _PowerText(dict):
     """``*name`` or ``*name^e`` for each (variable, exponent) pair, rendered once."""
 
@@ -333,7 +340,7 @@ class SparsePolynomial:
     @property
     def terms(self) -> dict[Monomial, int]:
         """The canonical term map, keyed by (variable, exponent) tuples; a fresh dict."""
-        high, shift, mask, low = _halves(self._ring, self._bits, tuple)
+        high, shift, mask, low = _decoder(self._ring, self._bits, tuple)
         return {high[k >> shift] + low[k & mask]: c for k, c in self._terms.items()}
 
     def is_zero(self) -> bool:
@@ -504,7 +511,7 @@ class SparsePolynomial:
         order = [k | ((top ^ nonzero) & -(nonzero & -nonzero))
                  for k in terms for nonzero in [(k + below) & top]]
         keep = ~top
-        high, shift, mask, low = _halves(self._ring, bits, _factor_text)
+        high, shift, mask, low = _decoder(self._ring, bits, _factor_text)
         parts = []
         for s in sorted(order):
             k = s & keep
@@ -524,6 +531,60 @@ class SparsePolynomial:
 _ZERO = SparsePolynomial._raw((), _BITS, {})
 
 PolyLike = Union[SparsePolynomial, Variable, int]
+
+
+def _laid_out(p: SparsePolynomial, ring: Ring, bits: int) -> dict[int, int]:
+    """``p``'s term map laid out over ``ring``, a superset of its ring, at width ``bits``."""
+    terms = p._terms if p._bits == bits else _widened(p._terms, len(p._ring), p._bits, bits)
+    return _relaid(terms, _union(ring, p._ring, bits)[2])
+
+
+def _sum_of_products(
+    pairs: Iterable[tuple[SparsePolynomial, SparsePolynomial]]
+) -> SparsePolynomial:
+    """``sum(a * b for a, b in pairs)``, accumulated in one term map.
+
+    Each factor is laid out once over the union of all the factors' rings,
+    at the widest of their widths, every product of two terms is added into
+    one dict, and the sum is made canonical once.  Each factor's exponents
+    keep their field's top bit clear, so a product's exponent fits its
+    field without a carry; if some top bit is then set, the sum doubles its
+    width before it is trimmed.
+    """
+    pairs = [(a, b) for a, b in pairs if a._terms and b._terms]
+    ring = tuple(sorted({v for pair in pairs for p in pair for v in p._ring}))
+    bits = max((p._bits for pair in pairs for p in pair), default=_BITS)
+    out: dict[int, int] = {}
+    get = out.get
+    for a, b in pairs:
+        a, b = _laid_out(a, ring, bits), _laid_out(b, ring, bits)
+        if len(a) > len(b):
+            a, b = b, a
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    out = {k: c for k, c in out.items() if c}
+    if reduce(or_, out, 0) & _repunit(len(ring), bits) << (bits - 1):
+        out, bits = _widened(out, len(ring), bits, 2 * bits), 2 * bits
+    return _trimmed(ring, bits, out)
+
+
+def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> SparsePolynomial:
+    """``p`` with each variable v of its ring renamed ``rename(v)``.
+
+    A renaming that keeps the ring in increasing order keeps every field in
+    its place, so the packed term map is shared as it is and only the ring
+    changes.  Any other renaming (names out of order, or two merged into
+    one) rebuilds the terms from their (variable, exponent) tuples.
+    """
+    ring = tuple(map(rename, p._ring))
+    if all(map(lt, ring, ring[1:])):
+        return SparsePolynomial._raw(ring, p._bits, p._terms)
+    names = dict(zip(p._ring, ring))
+    return SparsePolynomial.from_terms(
+        ([(names[v], e) for v, e in mono], c) for mono, c in p.terms.items()
+    )
 
 
 def _coerce(value: object) -> SparsePolynomial | None:

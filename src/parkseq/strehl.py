@@ -25,6 +25,17 @@ All sums inside s_L and t_R are taken relative to the sub-ground-set (L, R),
 not to A; with A-relative sums the sheffer identity already fails on {1, 2}.
 Each identity can be checked symbolically (canonical expansion, small sets)
 or probabilistically (exact big-integer evaluation at seeded random points).
+A member depends on A only through the order of its labels: over an
+increasing k-set A it is the member over {1..k} with y_j renamed y_{A[j]}
+and x_{i,j} renamed x_{A[i],A[j]}.  So ``_expand`` multiplies out each
+member once per size, family and main variable (z, or z + w for the left
+side of a convolution), and ``t_poly``, ``s_poly`` and that left side
+relabel it onto A, putting w or any other main variable in for z.  The
+renaming keeps the ring in increasing order, and a packed monomial's
+fields follow the ring's order, so every key keeps its value and the term
+map is shared as it is; only the ring changes.  The symbolic right side
+adds its 2^|A| split products into one term map
+(``poly._sum_of_products``), for every ground set anew.
 The exact right side of a convolution is the top coefficient of a subset
 convolution, summed by a blocked subset transform: the splits of the (at
 most ``_BLOCK``) smallest members of A are laid out as lists indexed by
@@ -63,6 +74,8 @@ from .poly import (
     W,
     Z,
     _check_integer,
+    _renamed,
+    _sum_of_products,
     poly,
     x_var,
     y_var,
@@ -119,22 +132,49 @@ def _symbols(A: IndexSet) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=None)
-def _expand(A: IndexSet, family: str, zvar: Variable) -> SparsePolynomial:
-    return poly(_product(A, family, poly(zvar), *_symbols(A)))
+def _expand(k: int, family: str, at: SparsePolynomial) -> SparsePolynomial:
+    """The ``family`` member over {1..k} at main variable ``at``, multiplied out."""
+    A = IndexSet.first(k)
+    return poly(_product(A, family, at, *_symbols(A)))
+
+
+def _member(
+    A: IndexSet, family: str, at: SparsePolynomial, zvar: Variable = Z
+) -> SparsePolynomial:
+    """The ``family`` member over A at ``at``, with ``zvar`` put in for z.
+
+    The member over {1..|A|} relabelled: y_j becomes y_{A[j]} and x_{i,j}
+    becomes x_{A[i],A[j]}.  A is increasing, so the relabelled ring is in
+    increasing order and the packed term map is shared as it is; only a y
+    or x variable as ``zvar`` moves out of z's place and rebuilds the terms.
+    """
+    labels = (0, *A)  # label 0 keeps z, w and a y's second index as they are
+
+    def rename(v: Variable) -> Variable:
+        return zvar if v == Z else Variable(v.family, labels[v.a], labels[v.b])
+
+    return _renamed(_expand(len(A), family, at), rename)
 
 
 def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
     """Binomial-type family member over A, expanded and canonical.
 
     ``zvar`` times the product of the linear forms over every member of A
-    except the maximum; 1 on the empty set.
+    except the maximum; 1 on the empty set.  The member is multiplied out
+    once per size, over {1..|A|} at z, and relabelled onto A with ``zvar``
+    for z: the labels keep their order, so the packed keys keep their
+    values and the term map is shared (see ``_member``).
     """
-    return _expand(_as_index_set(A), "t", zvar)
+    return _member(_as_index_set(A), "t", poly(Z), zvar)
 
 
 def s_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
-    """Sheffer-type family member over A: the full product of linear forms."""
-    return _expand(_as_index_set(A), "s", zvar)
+    """Sheffer-type family member over A: the full product of linear forms.
+
+    Multiplied out once per size and relabelled onto A, sharing its packed
+    term map, as in ``t_poly``.
+    """
+    return _member(_as_index_set(A), "s", poly(Z), zvar)
 
 
 def _check_identity(identity: str, A: IndexSet) -> None:
@@ -171,11 +211,8 @@ def identity_sides(
         head = _forms(A, z, *_symbols(A))[-1]
         return head * t_poly(A), z * s_poly(A)
     family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
-    lhs = poly(_product(A, family, z + poly(W), *_symbols(A)))
-    rhs = poly(0)
-    for left, right in partitions_into_two(A):
-        rhs = rhs + expand(left) * t_poly(right, zvar=W)
-    return lhs, rhs
+    pairs = ((expand(left), t_poly(right, zvar=W)) for left, right in partitions_into_two(A))
+    return _member(A, family, z + poly(W)), _sum_of_products(pairs)
 
 
 def check_easy_identity(A: IndexSet | Iterable[int], *, budget: int = SYMBOLIC_BUDGET) -> bool:

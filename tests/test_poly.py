@@ -14,6 +14,7 @@ from parkseq.poly import (
     Variable,
     W,
     Z,
+    _sum_of_products,
     monomial,
     poly,
     x_var,
@@ -513,3 +514,39 @@ def test_arithmetic_matches_a_literal_dict_of_tuples_reference(pair):
         assert p == rebuilt and hash(p) == hash(rebuilt)
     assert (a == b) is (ref_a == ref_b)
     assert (a + b == b + a) and (a * b == b * a)
+
+
+SUM_VARS = [Z, W, y_var(1), y_var(5), x_var(1, 5), x_var(2, 3)]
+sum_operands = st.one_of(
+    st.integers(-2, 2).map(poly),  # zero and constants
+    st.builds(
+        SparsePolynomial.from_terms,
+        st.lists(
+            st.tuples(
+                st.dictionaries(
+                    st.sampled_from(SUM_VARS), st.sampled_from([1, 2, 63, 64, 100]), max_size=3
+                ),
+                st.integers(-2, 2),
+            ),
+            max_size=4,
+        ),
+    ),
+)
+
+
+@given(st.lists(st.tuples(sum_operands, sum_operands), max_size=6))
+# every product cancels
+@example([(poly(y_var(1)), poly(Z)), (poly(Z), -poly(y_var(1)))])
+# x_{1,5} cancels out of the sum, and y_1 reaches 200, past 127
+@example([
+    (poly(y_var(1)) ** 100, poly(y_var(1)) ** 100 + x_var(1, 5)),
+    (poly(x_var(1, 5)), -(poly(y_var(1)) ** 100)),
+    (poly(3), poly(W)),
+])
+def test_sum_of_products_matches_the_literal_sum(pairs):
+    """One term map for the whole sum equals adding the products one by one,
+    down to the canonical ring and width."""
+    expected = sum((a * b for a, b in pairs), poly(0))
+    got = _sum_of_products(pairs)
+    assert got == expected and hash(got) == hash(expected)
+    assert got.terms == expected.terms and str(got) == str(expected)

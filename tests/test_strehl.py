@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -12,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkseq.counting import PARTITION_LIMIT, IndexSet, count_by_formula, partitions_into_two
+from parkseq import strehl
 from parkseq.poly import ParameterAssignment, SparsePolynomial, W, Z, poly, x_var, y_var
 from parkseq.strehl import (
+    _member,
+    _product,
+    _symbols,
     abel_rothe_specialize,
     check_binomial_convolution,
     check_easy_identity,
@@ -81,6 +86,57 @@ class TestFamilies:
             target = IndexSet.first(len(A))
             assert t_poly(A).substitute(rules) == t_poly(target)
             assert s_poly(A).substitute(rules) == s_poly(target)
+
+
+labels = st.one_of(st.integers(1, 12), st.integers(1, 10**6))
+
+
+@st.composite
+def relabel_cases(draw):
+    """An increasing set of up to 4 labels with gaps, and a main variable:
+    z, w, or a y or x variable whose labels may or may not lie in the set."""
+    A = IndexSet(sorted(draw(st.sets(labels, max_size=4))))
+    pool = sorted(set(A) | draw(st.sets(labels, min_size=2, max_size=2)))
+    kind = draw(st.sampled_from("zwyx"))
+    if kind in "zw":
+        return A, Z if kind == "z" else W
+    if kind == "y":
+        return A, y_var(draw(st.sampled_from(pool)))
+    pair = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+    return A, x_var(*sorted(pair))
+
+
+class TestRelabelledExpansion:
+    """Members are expanded once per size and relabelled onto the ground set."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(relabel_cases())
+    def test_matches_direct_expansion_on_the_set(self, case):
+        A, zvar = case
+        for family, member in (("t", t_poly), ("s", s_poly)):
+            direct = poly(_product(A, family, poly(zvar), *_symbols(A)))
+            assert member(A, zvar) == direct
+            assert str(member(A, zvar)) == str(direct)
+            shifted = poly(_product(A, family, poly(Z) + poly(W), *_symbols(A)))
+            assert _member(A, family, poly(Z) + poly(W)) == shifted
+
+    def test_a_set_of_one_size_is_multiplied_out_once(self, monkeypatch):
+        """A sheffer check on a 6-set multiplies out each size once per
+        (family, main variable), and a second 6-set multiplies out nothing."""
+        made = Counter()
+
+        def counted(A, family, at, y, x):
+            made[family, at] += 1
+            return _product(A, family, at, y, x)
+
+        strehl._expand.cache_clear()
+        monkeypatch.setattr(strehl, "_product", counted)
+        assert check_sheffer_convolution((2, 3, 5, 8, 13, 21), budget=6)
+        assert made[("s", poly(Z))] == made[("t", poly(Z))] == 7
+        assert made[("s", poly(Z) + poly(W))] == 1 and len(made) == 3
+        made.clear()
+        assert check_sheffer_convolution((1, 4, 6, 7, 9, 30), budget=6)
+        assert not made
 
 
 class TestEasyIdentity:
