@@ -42,9 +42,6 @@ from .poly import (
 from .strehl import (
     SYMBOLIC_BUDGET,
     abel_rothe_specialize,
-    check_binomial_convolution,
-    check_easy_identity,
-    check_sheffer_convolution,
     f_as_t_specialization,
     identity_sides,
     identity_value_sides,
@@ -88,9 +85,6 @@ __all__ = [
     "y_var",
     "SYMBOLIC_BUDGET",
     "abel_rothe_specialize",
-    "check_binomial_convolution",
-    "check_easy_identity",
-    "check_sheffer_convolution",
     "f_as_t_specialization",
     "identity_sides",
     "identity_value_sides",

@@ -55,7 +55,9 @@ class LotLayout(NamedTuple):
     cells: tuple[Cell, ...]
 
     def spot(self, k: int) -> Cell:
-        """Content of 1-based spot ``k``."""
+        """Content of 1-based spot ``k``; a ``bool`` or any other non-int is refused."""
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"spot number must be an integer, got {k!r}")
         if not 1 <= k <= len(self.cells):
             raise IndexError(f"spot {k} outside lot 1..{len(self.cells)}")
         return self.cells[k - 1]

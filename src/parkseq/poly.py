@@ -32,7 +32,7 @@ import random
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache, reduce
-from operator import lt, or_
+from operator import or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 _FAM_Z = 0
@@ -178,44 +178,31 @@ def _widened(terms: dict[int, int], fields: int, bits: int, into_bits: int) -> d
     return _relaid(terms, [(mask << bits * i, (into_bits - bits) * i) for i in range(fields)])
 
 
-def _union(base: Ring, other: Ring, bits: int) -> tuple[Ring, list, list]:
-    """The sorted union of two rings, and the moves that lay each ring's keys out over it.
+def _moves(ring: Ring, into: Ring, bits: int) -> list[tuple[int, int]]:
+    """The moves that lay keys over ``ring`` out over ``into``, a sorted superset of it.
 
-    Each variable of ``other`` missing from ``base`` is inserted at the spot
-    ``bisect`` finds, so a run of ``base`` fields moves up by the number of
-    variables inserted below it.
+    Each variable's field goes to the spot ``bisect`` finds for it in
+    ``into``; adjacent fields that shift alike move together as one run.
     """
-    n, ring, start = len(base), [], 0
-    spots = []  # the base index each inserted variable goes before, ascending
-    targets = []  # the union index of each variable of ``other``
-    for v in other:
-        spot = bisect_left(base, v)
-        if spot < n and base[spot] == v:
-            targets.append(spot + len(spots))
+    moves: list[tuple[int, int]] = []
+    top = len(into) - 1
+    for low, v in enumerate(reversed(ring)):
+        field, shift = (1 << bits) - 1 << bits * low, bits * (top - bisect_left(into, v) - low)
+        if moves and moves[-1][1] == shift:
+            moves[-1] = (moves[-1][0] | field, shift)
         else:
-            ring += base[start:spot]
-            start = spot
-            targets.append(len(ring))
-            ring.append(v)
-            spots.append(spot)
-    ring = tuple(ring) + base[start:] if spots else base
-    base_moves, high, lift = [], n, 0
-    for spot in reversed(spots):
-        if spot < high:  # base indices [spot, high) sit above ``lift`` inserted variables
-            base_moves.append((((1 << bits * (high - spot)) - 1) << bits * (n - high), bits * lift))
-            high = spot
-        lift += 1
-    if high:
-        base_moves.append(((1 << bits * high) - 1 << bits * (n - high), bits * lift))
-    other_moves: list[tuple[int, int]] = []
-    top = len(ring) - 1
-    for low, target in enumerate(reversed(targets)):
-        field, shift = (1 << bits) - 1 << bits * low, bits * (top - target - low)
-        if other_moves and other_moves[-1][1] == shift:
-            other_moves[-1] = (other_moves[-1][0] | field, shift)
-        else:
-            other_moves.append((field, shift))
-    return ring, base_moves, other_moves
+            moves.append((field, shift))
+    return moves
+
+
+def _laid_out(p: "SparsePolynomial", ring: Ring, bits: int) -> dict[int, int]:
+    """``p``'s term map laid out over ``ring``, a superset of its ring, at width ``bits``."""
+    if not p._ring:  # a constant's key is 0 in any layout
+        return p._terms
+    terms = p._terms if p._bits == bits else _widened(p._terms, len(p._ring), p._bits, bits)
+    if p._ring == ring:
+        return terms
+    return _relaid(terms, _moves(p._ring, ring, bits))
 
 
 def _aligned(
@@ -223,17 +210,13 @@ def _aligned(
 ) -> tuple[Ring, int, dict[int, int], dict[int, int]]:
     """The union of the two rings, the wider width, and both term maps laid out over them."""
     bits = max(p._bits, q._bits)
-    a = p._terms if p._bits == bits else _widened(p._terms, len(p._ring), p._bits, bits)
-    b = q._terms if q._bits == bits else _widened(q._terms, len(q._ring), q._bits, bits)
-    if p._ring == q._ring or not q._ring:  # a constant's key is 0 in any layout
-        return p._ring, bits, a, b
-    if not p._ring:
-        return q._ring, bits, a, b
-    if len(p._ring) < len(q._ring):
-        ring, b_moves, a_moves = _union(q._ring, p._ring, bits)
+    if p._ring == q._ring or not q._ring:
+        ring = p._ring
+    elif not p._ring:
+        ring = q._ring
     else:
-        ring, a_moves, b_moves = _union(p._ring, q._ring, bits)
-    return ring, bits, _relaid(a, a_moves), _relaid(b, b_moves)
+        ring = tuple(sorted({*p._ring, *q._ring}))
+    return ring, bits, _laid_out(p, ring, bits), _laid_out(q, ring, bits)
 
 
 def _trimmed(ring: Ring, bits: int, terms: dict[int, int]) -> "SparsePolynomial":
@@ -533,12 +516,6 @@ _ZERO = SparsePolynomial._raw((), _BITS, {})
 PolyLike = Union[SparsePolynomial, Variable, int]
 
 
-def _laid_out(p: SparsePolynomial, ring: Ring, bits: int) -> dict[int, int]:
-    """``p``'s term map laid out over ``ring``, a superset of its ring, at width ``bits``."""
-    terms = p._terms if p._bits == bits else _widened(p._terms, len(p._ring), p._bits, bits)
-    return _relaid(terms, _union(ring, p._ring, bits)[2])
-
-
 def _sum_of_products(
     pairs: Iterable[tuple[SparsePolynomial, SparsePolynomial]]
 ) -> SparsePolynomial:
@@ -573,18 +550,11 @@ def _sum_of_products(
 def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> SparsePolynomial:
     """``p`` with each variable v of its ring renamed ``rename(v)``.
 
-    A renaming that keeps the ring in increasing order keeps every field in
-    its place, so the packed term map is shared as it is and only the ring
-    changes.  Any other renaming (names out of order, or two merged into
-    one) rebuilds the terms from their (variable, exponent) tuples.
+    The renaming must keep the ring in increasing order.  Then every field
+    stays in its place, so the packed term map is shared as it is and only
+    the ring changes.
     """
-    ring = tuple(map(rename, p._ring))
-    if all(map(lt, ring, ring[1:])):
-        return SparsePolynomial._raw(ring, p._bits, p._terms)
-    names = dict(zip(p._ring, ring))
-    return SparsePolynomial.from_terms(
-        ([(names[v], e) for v, e in mono], c) for mono, c in p.terms.items()
-    )
+    return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms)
 
 
 def _coerce(value: object) -> SparsePolynomial | None:

@@ -30,12 +30,12 @@ increasing k-set A it is the member over {1..k} with y_j renamed y_{A[j]}
 and x_{i,j} renamed x_{A[i],A[j]}.  So ``_expand`` multiplies out each
 member once per size, family and main variable (z, or z + w for the left
 side of a convolution), and ``t_poly``, ``s_poly`` and that left side
-relabel it onto A, putting w or any other main variable in for z.  The
-renaming keeps the ring in increasing order, and a packed monomial's
-fields follow the ring's order, so every key keeps its value and the term
-map is shared as it is; only the ring changes.  The symbolic right side
-adds its 2^|A| split products into one term map
-(``poly._sum_of_products``), for every ground set anew.
+relabel it onto A, putting z or w in for z.  The renaming keeps the ring
+in increasing order, and a packed monomial's fields follow the ring's
+order, so every key keeps its value and the term map is shared as it is;
+only the ring changes.  The symbolic right side adds its 2^|A| split
+products into one term map (``poly._sum_of_products``), for every ground
+set anew.
 The exact right side of a convolution is the top coefficient of a subset
 convolution, summed by a blocked subset transform: the splits of the (at
 most ``_BLOCK``) smallest members of A are laid out as lists indexed by
@@ -141,13 +141,15 @@ def _expand(k: int, family: str, at: SparsePolynomial) -> SparsePolynomial:
 def _member(
     A: IndexSet, family: str, at: SparsePolynomial, zvar: Variable = Z
 ) -> SparsePolynomial:
-    """The ``family`` member over A at ``at``, with ``zvar`` put in for z.
+    """The ``family`` member over A at ``at``, with ``zvar``, z or w, put in for z.
 
     The member over {1..|A|} relabelled: y_j becomes y_{A[j]} and x_{i,j}
-    becomes x_{A[i],A[j]}.  A is increasing, so the relabelled ring is in
-    increasing order and the packed term map is shared as it is; only a y
-    or x variable as ``zvar`` moves out of z's place and rebuilds the terms.
+    becomes x_{A[i],A[j]}.  A is increasing and z and w sort below every y
+    and x, so the relabelled ring is in increasing order and the packed term
+    map is shared as it is.
     """
+    if not isinstance(zvar, Variable) or zvar not in (Z, W):
+        raise ValueError(f"zvar must be the Variable Z or W, got {zvar!r}")
     labels = (0, *A)  # label 0 keeps z, w and a y's second index as they are
 
     def rename(v: Variable) -> Variable:
@@ -163,7 +165,8 @@ def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
     except the maximum; 1 on the empty set.  The member is multiplied out
     once per size, over {1..|A|} at z, and relabelled onto A with ``zvar``
     for z: the labels keep their order, so the packed keys keep their
-    values and the term map is shared (see ``_member``).
+    values and the term map is shared (see ``_member``).  ``zvar`` is the
+    Variable ``Z`` or ``W``; anything else is refused with a ``ValueError``.
     """
     return _member(_as_index_set(A), "t", poly(Z), zvar)
 
@@ -213,28 +216,6 @@ def identity_sides(
     family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
     pairs = ((expand(left), t_poly(right, zvar=W)) for left, right in partitions_into_two(A))
     return _member(A, family, z + poly(W)), _sum_of_products(pairs)
-
-
-def check_easy_identity(A: IndexSet | Iterable[int], *, budget: int = SYMBOLIC_BUDGET) -> bool:
-    """Head-factor identity: true iff both sides expand to the same polynomial."""
-    lhs, rhs = identity_sides("easy", A, budget=budget)
-    return lhs == rhs
-
-
-def check_sheffer_convolution(
-    A: IndexSet | Iterable[int], *, budget: int = SYMBOLIC_BUDGET
-) -> bool:
-    """Sheffer-type convolution over all ordered splits of A, symbolically."""
-    lhs, rhs = identity_sides("sheffer", A, budget=budget)
-    return lhs == rhs
-
-
-def check_binomial_convolution(
-    A: IndexSet | Iterable[int], *, budget: int = SYMBOLIC_BUDGET
-) -> bool:
-    """Binomial-type convolution over all ordered splits of A, symbolically."""
-    lhs, rhs = identity_sides("binomial", A, budget=budget)
-    return lhs == rhs
 
 
 def s_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:

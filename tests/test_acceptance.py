@@ -15,10 +15,8 @@ from parkseq.counting import (
     partitions_into_two,
 )
 from parkseq.strehl import (
-    check_binomial_convolution,
-    check_easy_identity,
-    check_sheffer_convolution,
     f_as_t_specialization,
+    identity_sides,
     random_identity_check,
     verify_recurrence,
 )
@@ -27,6 +25,11 @@ from parkseq.strehl import (
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {num:2d}: {description}")
     assert ok, f"criterion {num} ({description}) failed {detail}"
+
+
+def _holds(identity: str, A: IndexSet) -> bool:
+    lhs, rhs = identity_sides(identity, A)
+    return lhs == rhs
 
 
 def _subsets(n: int, include_empty: bool = True):
@@ -86,12 +89,12 @@ def test_criterion_4_recurrence_sweep():
 
 
 def test_criterion_5_easy_identity_all_subsets_of_five():
-    bad = [A for A in _subsets(5, include_empty=False) if not check_easy_identity(A)]
+    bad = [A for A in _subsets(5, include_empty=False) if not _holds("easy", A)]
     _report(5, "head-factor identity symbolic on every nonempty A in {1..5}", not bad, f"{bad}")
 
 
 def test_criterion_6_sheffer_convolution():
-    symbolic_bad = [A for A in _subsets(4) if not check_sheffer_convolution(A)]
+    symbolic_bad = [A for A in _subsets(4) if not _holds("sheffer", A)]
     big = IndexSet.first(8)
     randomized_ok = random_identity_check("sheffer", big, trials=20, seed=42)
     surviving_mutants = [
@@ -110,7 +113,7 @@ def test_criterion_6_sheffer_convolution():
 
 
 def test_criterion_7_binomial_convolution():
-    bad = [A for A in _subsets(4) if not check_binomial_convolution(A)]
+    bad = [A for A in _subsets(4) if not _holds("binomial", A)]
     _report(7, "binomial-type convolution symbolic on every A in {1..4}", not bad, f"{bad}")
 
 

@@ -21,9 +21,6 @@ PUBLIC_NAMES = [
     "W",
     "Z",
     "abel_rothe_specialize",
-    "check_binomial_convolution",
-    "check_easy_identity",
-    "check_sheffer_convolution",
     "count_by_enumeration",
     "count_by_formula",
     "count_no_trailer",

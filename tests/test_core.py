@@ -338,6 +338,9 @@ def test_layout_spot_accessor_is_one_based():
         layout.spot(9)
     with pytest.raises(IndexError):
         layout.spot(0)
+    for k in (True, False, 1.0, "1"):
+        with pytest.raises(TypeError, match="spot number must be an integer"):
+            layout.spot(k)
 
 
 def test_layout_validation_rejects_wrong_layouts():

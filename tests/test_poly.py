@@ -492,6 +492,13 @@ def _related_pairs(draw):
 @given(_related_pairs())
 # an insertion before a shared variable
 @example(({((Z, 1), (W, 1)): 1}, {((W, 1), (y_var(1), 1)): 1}))
+# a constant polynomial against one at width 16
+@example(({(): 3}, {((Z, 2), (y_var(1), 200)): -1, ((x_var(1, 2), 1),): 1}))
+# interleaved rings, one at width 16 and one at width 8
+@example((
+    {((Z, 1), (y_var(1), 130)): 2, ((x_var(1, 2), 1),): 1},
+    {((W, 3), (y_var(2), 1)): 1, ((x_var(1, 9), 5),): -4},
+))
 def test_arithmetic_matches_a_literal_dict_of_tuples_reference(pair):
     ref_a, ref_b = pair
     a, b = SparsePolynomial(ref_a), SparsePolynomial(ref_b)

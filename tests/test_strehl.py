@@ -20,9 +20,6 @@ from parkseq.strehl import (
     _product,
     _symbols,
     abel_rothe_specialize,
-    check_binomial_convolution,
-    check_easy_identity,
-    check_sheffer_convolution,
     f_as_t_specialization,
     identity_sides,
     identity_value_sides,
@@ -32,6 +29,12 @@ from parkseq.strehl import (
     t_poly,
     t_value,
 )
+
+
+def holds(identity, A, **kwargs):
+    """Whether the two symbolic sides of ``identity`` over A are equal."""
+    lhs, rhs = identity_sides(identity, A, **kwargs)
+    return lhs == rhs
 
 
 def subsets(n, include_empty=True):
@@ -93,17 +96,8 @@ labels = st.one_of(st.integers(1, 12), st.integers(1, 10**6))
 
 @st.composite
 def relabel_cases(draw):
-    """An increasing set of up to 4 labels with gaps, and a main variable:
-    z, w, or a y or x variable whose labels may or may not lie in the set."""
-    A = IndexSet(sorted(draw(st.sets(labels, max_size=4))))
-    pool = sorted(set(A) | draw(st.sets(labels, min_size=2, max_size=2)))
-    kind = draw(st.sampled_from("zwyx"))
-    if kind in "zw":
-        return A, Z if kind == "z" else W
-    if kind == "y":
-        return A, y_var(draw(st.sampled_from(pool)))
-    pair = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
-    return A, x_var(*sorted(pair))
+    """An increasing set of up to 4 labels with gaps, and a main variable, z or w."""
+    return IndexSet(sorted(draw(st.sets(labels, max_size=4)))), draw(st.sampled_from((Z, W)))
 
 
 class TestRelabelledExpansion:
@@ -120,6 +114,16 @@ class TestRelabelledExpansion:
             shifted = poly(_product(A, family, poly(Z) + poly(W), *_symbols(A)))
             assert _member(A, family, poly(Z) + poly(W)) == shifted
 
+    @pytest.mark.parametrize("member", [t_poly, s_poly])
+    @pytest.mark.parametrize(
+        "zvar", [y_var(1), x_var(1, 2), True, (0, 0, 0)], ids=["y1", "x1_2", "True", "tuple"]
+    )
+    def test_a_main_variable_other_than_z_or_w_is_refused(self, member, zvar):
+        """Only the Variables z and w keep the relabelled ring in order; the
+        plain tuple (0, 0, 0) equals Z but is no Variable."""
+        with pytest.raises(ValueError, match="zvar"):
+            member((1, 2), zvar)
+
     def test_a_set_of_one_size_is_multiplied_out_once(self, monkeypatch):
         """A sheffer check on a 6-set multiplies out each size once per
         (family, main variable), and a second 6-set multiplies out nothing."""
@@ -131,20 +135,20 @@ class TestRelabelledExpansion:
 
         strehl._expand.cache_clear()
         monkeypatch.setattr(strehl, "_product", counted)
-        assert check_sheffer_convolution((2, 3, 5, 8, 13, 21), budget=6)
+        assert holds("sheffer", (2, 3, 5, 8, 13, 21), budget=6)
         assert made[("s", poly(Z))] == made[("t", poly(Z))] == 7
         assert made[("s", poly(Z) + poly(W))] == 1 and len(made) == 3
         made.clear()
-        assert check_sheffer_convolution((1, 4, 6, 7, 9, 30), budget=6)
+        assert holds("sheffer", (1, 4, 6, 7, 9, 30), budget=6)
         assert not made
 
 
 class TestEasyIdentity:
     def test_holds_on_small_sets(self):
-        assert check_easy_identity((1,))
-        assert check_easy_identity((1, 2))
-        assert check_easy_identity((1, 2, 3))
-        assert check_easy_identity((2, 5, 9))
+        assert holds("easy", (1,))
+        assert holds("easy", (1, 2))
+        assert holds("easy", (1, 2, 3))
+        assert holds("easy", (2, 5, 9))
 
     def test_sides_are_the_expected_products(self):
         lhs, rhs = identity_sides("easy", (1,))
@@ -153,17 +157,16 @@ class TestEasyIdentity:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            check_easy_identity(())
+            identity_sides("easy", ())
 
     def test_budget_guard(self):
         """A 7-set is refused before anything is expanded."""
         A = tuple(range(1, 8))
-        for call in (lambda: identity_sides("easy", A), lambda: check_easy_identity(A)):
-            with pytest.raises(ValueError, match="use random_identity_check instead"):
-                call()
-        assert check_easy_identity((1, 2, 3), budget=3)
+        with pytest.raises(ValueError, match="use random_identity_check instead"):
+            identity_sides("easy", A)
+        assert holds("easy", (1, 2, 3), budget=3)
         with pytest.raises(ValueError, match="budget 2"):
-            check_easy_identity((1, 2, 3), budget=2)
+            identity_sides("easy", (1, 2, 3), budget=2)
 
 
 @pytest.mark.parametrize(
@@ -183,20 +186,20 @@ def test_rendered_sides_are_pinned(identity, digest):
 
 class TestShefferConvolution:
     def test_empty_and_singleton(self):
-        assert check_sheffer_convolution(())
-        assert check_sheffer_convolution((1,))
+        assert holds("sheffer", ())
+        assert holds("sheffer", (1,))
         lhs, rhs = identity_sides("sheffer", (1,))
         assert lhs == poly(Z) + poly(W) + poly(y_var(1))
         assert rhs == poly(W) + (poly(Z) + poly(y_var(1)))
 
     def test_pair_and_triples(self):
-        assert check_sheffer_convolution((1, 2))
-        assert check_sheffer_convolution((1, 2, 3))
-        assert check_sheffer_convolution((2, 5, 9))
+        assert holds("sheffer", (1, 2))
+        assert holds("sheffer", (1, 2, 3))
+        assert holds("sheffer", (2, 5, 9))
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            check_sheffer_convolution((1, 2, 3, 4, 5, 6))
+            identity_sides("sheffer", (1, 2, 3, 4, 5, 6))
 
     def test_ambient_sum_reading_fails_already_on_a_pair(self):
         """Taking the partial sums relative to the ambient set instead of
@@ -232,10 +235,10 @@ class TestShefferConvolution:
 
 class TestBinomialConvolution:
     def test_small_sets(self):
-        assert check_binomial_convolution(())
-        assert check_binomial_convolution((1,))
-        assert check_binomial_convolution((1, 2))
-        assert check_binomial_convolution((1, 2, 3, 4))
+        assert holds("binomial", ())
+        assert holds("binomial", (1,))
+        assert holds("binomial", (1, 2))
+        assert holds("binomial", (1, 2, 3, 4))
 
     def test_singleton_sides(self):
         lhs, rhs = identity_sides("binomial", (1,))
@@ -244,7 +247,7 @@ class TestBinomialConvolution:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            check_binomial_convolution(tuple(range(1, 8)))
+            identity_sides("binomial", tuple(range(1, 8)))
 
 
 class TestNumericValues:
