@@ -21,6 +21,7 @@ from .counting import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
     IndexSet,
+    _check_budget,
     count_by_formula,
     count_report,
 )
@@ -128,8 +129,7 @@ def cmd_park(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     budget = _default_budget() if args.budget is None else args.budget
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    _check_budget(budget)
     formula = count_by_formula(args.sizes, args.z)
     record: dict = {"sizes": list(args.sizes), "z": args.z, "formula": formula}
     if not args.do_enumerate:

@@ -241,6 +241,14 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
     return count_report(sizes, z, budget=budget).enumerated
 
 
+def _check_budget(budget: object) -> None:
+    """Refuse an enumeration budget that is not an ``int`` >= 1; a ``bool`` is no budget."""
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+
+
 def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET) -> CountReport:
     """Run the enumeration oracle and compare it with the closed form.
 
@@ -250,13 +258,15 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
     times the ``m`` spots of the row that each state stores as its key and
     walks for its empty spots.  Nothing else bounds the search.  A cell costs
     roughly 0.1-0.5 µs, so the default budget of 4 * 10**6 admits runs of up
-    to about 2 s.
+    to about 2 s.  A budget that is not an ``int`` >= 1, or is a ``bool``, is
+    refused with a ``ValueError``.
     """
     cars = as_car_sizes(sizes)
     _check_z(z)
     m = z - 1 + cars.total
     n = cars.n
     if budget is not None:
+        _check_budget(budget)
         states = _state_bound(cars.sizes)
         if states * m > budget:
             raise EnumerationBudgetError(m, n, m**n, budget, states)

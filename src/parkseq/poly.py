@@ -16,10 +16,12 @@ the product of two monomials over one ring is the sum of their ints.  Every
 field has the same width: the narrowest of 8, 16, 32, ... bits that keeps
 each field's top bit clear, so the sum of two exponents never carries into
 the next field.  Operands over different rings or widths are first laid out
-over the union of their rings, at the wider width, by moving whole runs of
-adjacent fields.  The representation is canonical: no zero coefficient is
-stored, the ring holds exactly the variables some term uses (cancellation
-drops the others) and the width is the narrowest that fits, so equality of
+over the union of their rings, at the widest width, by moving whole runs of
+adjacent fields.  Every product, alone or in a sum, goes through one kernel,
+``_sum_of_products``, and ``_trimmed`` alone re-packs a result after ``+``
+or ``*``.  The representation is canonical: no zero coefficient is stored,
+the ring holds exactly the variables some term uses (cancellation drops the
+others) and the width is the narrowest that fits, so equality of
 polynomials is equality of ring, width and term map.  ``str`` lists the
 terms in increasing order of their (variable, exponent) tuples, and
 ``terms`` is the map keyed by those tuples.  There is no floating point
@@ -31,9 +33,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import or_
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, Union
 
 _FAM_Z = 0
 _FAM_W = 1
@@ -45,16 +47,41 @@ _LEAF = 4  # fields that ``terms`` and ``str`` decode together, once per value
 _DECODERS = 4  # decode memos kept, one per recent (ring, width, build)
 
 
-class Variable(NamedTuple):
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class Variable(namedtuple("_Variable", "family a b", defaults=(0, 0))):
     """One indeterminate; ordering is (family, first index, second index).
 
     Being a tuple, it equals the plain tuple ``(family, a, b)``, but only a
-    ``Variable`` is accepted as a monomial key.
+    ``Variable`` is accepted as a monomial key.  The fields are checked, so
+    no two variables render alike: the family is 0 (z), 1 (w), 2 (y) or
+    3 (x); z and w take no indices, y one index >= 1 and x two indices
+    0 < i < j.  Anything else, a ``bool`` included, is refused with a
+    ``ValueError``, by ``_replace`` too.
     """
 
-    family: int
-    a: int = 0
-    b: int = 0
+    __slots__ = ()
+
+    def __new__(cls, family: int, a: int = 0, b: int = 0) -> "Variable":
+        if not _is_int(family) or not _FAM_Z <= family <= _FAM_X:
+            raise ValueError(f"family must be 0 (z), 1 (w), 2 (y) or 3 (x), got {family!r}")
+        if family == _FAM_X:
+            if not (_is_int(a) and _is_int(b) and 0 < a < b):
+                raise ValueError(f"x indices must be integers with 0 < i < j, got ({a!r}, {b!r})")
+        elif family == _FAM_Y:
+            if not _is_int(a) or a < 1:
+                raise ValueError(f"y index must be an integer >= 1, got {a!r}")
+            if not _is_int(b) or b:
+                raise ValueError(f"y takes one index, got ({a!r}, {b!r})")
+        elif not (_is_int(a) and _is_int(b)) or a or b:
+            raise ValueError(f"{'zw'[family]} takes no indices, got ({a!r}, {b!r})")
+        return super().__new__(cls, family, a, b)
+
+    @classmethod
+    def _make(cls, fields: Iterable[int]) -> "Variable":
+        return cls(*fields)  # so that _replace is checked too
 
     def __repr__(self) -> str:
         if self.family == _FAM_Z:
@@ -78,17 +105,18 @@ Z = Variable(_FAM_Z)
 W = Variable(_FAM_W)
 
 
+# A Variable built from fields already known to be valid, without the check;
+# relabelling a variable along an increasing map of indices keeps it valid.
+_unchecked_variable = partial(tuple.__new__, Variable)
+
+
 def y_var(j: int) -> Variable:
     """The size parameter attached to index j."""
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise ValueError(f"y index must be an integer >= 1, got {j!r}")
     return Variable(_FAM_Y, j)
 
 
 def x_var(i: int, j: int) -> Variable:
     """The pair parameter attached to indices i < j."""
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)) or not 0 < i < j:
-        raise ValueError(f"x indices must be integers with 0 < i < j, got ({i!r}, {j!r})")
     return Variable(_FAM_X, i, j)
 
 
@@ -172,22 +200,17 @@ def _relaid(terms: dict[int, int], moves: list[tuple[int, int]]) -> dict[int, in
     return out
 
 
-def _widened(terms: dict[int, int], fields: int, bits: int, into_bits: int) -> dict[int, int]:
-    """``terms`` over the same ring of ``fields`` variables, at the wider width ``into_bits``."""
-    mask = (1 << bits) - 1
-    return _relaid(terms, [(mask << bits * i, (into_bits - bits) * i) for i in range(fields)])
-
-
-def _moves(ring: Ring, into: Ring, bits: int) -> list[tuple[int, int]]:
-    """The moves that lay keys over ``ring`` out over ``into``, a sorted superset of it.
+def _moves(ring: Ring, bits: int, into: Ring, into_bits: int) -> list[tuple[int, int]]:
+    """The moves that lay keys over ``ring`` at width ``bits`` out over ``into``, a sorted
+    superset of it, at width ``into_bits`` >= ``bits``, in one pass.
 
     Each variable's field goes to the spot ``bisect`` finds for it in
     ``into``; adjacent fields that shift alike move together as one run.
     """
     moves: list[tuple[int, int]] = []
-    top = len(into) - 1
+    top, mask = len(into) - 1, (1 << bits) - 1
     for low, v in enumerate(reversed(ring)):
-        field, shift = (1 << bits) - 1 << bits * low, bits * (top - bisect_left(into, v) - low)
+        field, shift = mask << bits * low, into_bits * (top - bisect_left(into, v)) - bits * low
         if moves and moves[-1][1] == shift:
             moves[-1] = (moves[-1][0] | field, shift)
         else:
@@ -197,46 +220,31 @@ def _moves(ring: Ring, into: Ring, bits: int) -> list[tuple[int, int]]:
 
 def _laid_out(p: "SparsePolynomial", ring: Ring, bits: int) -> dict[int, int]:
     """``p``'s term map laid out over ``ring``, a superset of its ring, at width ``bits``."""
-    if not p._ring:  # a constant's key is 0 in any layout
+    if not p._ring or p._ring == ring and p._bits == bits:  # a constant's key is 0 anywhere
         return p._terms
-    terms = p._terms if p._bits == bits else _widened(p._terms, len(p._ring), p._bits, bits)
-    if p._ring == ring:
-        return terms
-    return _relaid(terms, _moves(p._ring, ring, bits))
-
-
-def _aligned(
-    p: "SparsePolynomial", q: "SparsePolynomial"
-) -> tuple[Ring, int, dict[int, int], dict[int, int]]:
-    """The union of the two rings, the wider width, and both term maps laid out over them."""
-    bits = max(p._bits, q._bits)
-    if p._ring == q._ring or not q._ring:
-        ring = p._ring
-    elif not p._ring:
-        ring = q._ring
-    else:
-        ring = tuple(sorted({*p._ring, *q._ring}))
-    return ring, bits, _laid_out(p, ring, bits), _laid_out(q, ring, bits)
+    return _relaid(p._terms, _moves(p._ring, p._bits, ring, bits))
 
 
 def _trimmed(ring: Ring, bits: int, terms: dict[int, int]) -> "SparsePolynomial":
-    """The canonical polynomial of a term map whose ring or width may be wider than it needs.
+    """The canonical polynomial of a term map of nonzero coefficients after ``+`` or ``*``.
 
-    A field that is zero in every term is dropped, and the others move down
-    over it, at the narrowest width their exponents allow.
+    This is the one place a result is re-packed.  A field that is zero in
+    every term is dropped, and every other field is taken out and put back
+    in its new place, at the width its exponents need: narrower after a
+    cancellation, or wider when a product's exponent sets a field's top bit.
     """
     used = reduce(or_, terms, 0)  # each field as long as the field's largest exponent
     mask = (1 << bits) - 1
     fields = [used >> bits * i & mask for i in range(len(ring))]  # the lowest field first
-    narrow = _width(max(fields, default=0))
-    if all(fields) and narrow == bits:
+    width = _width(max(fields, default=0))
+    if all(fields) and width == bits:
         return SparsePolynomial._raw(ring, bits, terms)
     kept = [i for i, field in enumerate(fields) if field]
-    moves = [(mask << bits * i, bits * i - narrow * j) for j, i in enumerate(kept)]
+    moves = [(bits * i, width * j) for j, i in enumerate(kept)]
     return SparsePolynomial._raw(
         tuple(ring[-1 - i] for i in reversed(kept)),
-        narrow,
-        {sum((k & field) >> shift for field, shift in moves): c for k, c in terms.items()},
+        width,
+        {sum((k >> at & mask) << to for at, to in moves): c for k, c in terms.items()},
     )
 
 
@@ -354,7 +362,9 @@ class SparsePolynomial:
             return q
         if not q._terms:
             return self
-        ring, bits, a, b = _aligned(self, q)
+        bits = max(self._bits, q._bits)
+        ring = self._ring if self._ring == q._ring else tuple(sorted({*self._ring, *q._ring}))
+        a, b = _laid_out(self, ring, bits), _laid_out(q, ring, bits)
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
@@ -393,26 +403,7 @@ class SparsePolynomial:
         q = _coerce(other)
         if q is None:
             return NotImplemented
-        if not self._terms or not q._terms:
-            return _ZERO
-        ring, bits, a, b = _aligned(self, q)
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        # A product uses every variable of both factors, and its exponents
-        # cannot carry out of a field; a field may only need its top bit, if
-        # some factor's exponent reaches the bit below.
-        half = _repunit(len(ring), bits) << (bits - 2)
-        if (reduce(or_, a) | reduce(or_, b)) & half and reduce(or_, out) & half << 1:
-            return SparsePolynomial._raw(ring, 2 * bits, _widened(out, len(ring), bits, 2 * bits))
-        return SparsePolynomial._raw(ring, bits, out)
+        return _sum_of_products(((self, q),))
 
     __rmul__ = __mul__
 
@@ -521,12 +512,13 @@ def _sum_of_products(
 ) -> SparsePolynomial:
     """``sum(a * b for a, b in pairs)``, accumulated in one term map.
 
-    Each factor is laid out once over the union of all the factors' rings,
-    at the widest of their widths, every product of two terms is added into
-    one dict, and the sum is made canonical once.  Each factor's exponents
-    keep their field's top bit clear, so a product's exponent fits its
-    field without a carry; if some top bit is then set, the sum doubles its
-    width before it is trimmed.
+    The one product kernel: ``*`` is this sum over one pair.  Each factor
+    is laid out once over the union of all the factors' rings, at the
+    widest of their widths, every product of two terms is added into one
+    dict, and ``_trimmed`` makes the sum canonical once.  Each factor's
+    exponents keep their field's top bit clear, so a product's exponent
+    fits its field without a carry, though it may set the top bit;
+    ``_trimmed`` then widens the result.
     """
     pairs = [(a, b) for a, b in pairs if a._terms and b._terms]
     ring = tuple(sorted({v for pair in pairs for p in pair for v in p._ring}))
@@ -541,9 +533,8 @@ def _sum_of_products(
             for kb, cb in b.items():
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-    out = {k: c for k, c in out.items() if c}
-    if reduce(or_, out, 0) & _repunit(len(ring), bits) << (bits - 1):
-        out, bits = _widened(out, len(ring), bits, 2 * bits), 2 * bits
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
     return _trimmed(ring, bits, out)
 
 

@@ -76,6 +76,7 @@ from .poly import (
     _check_integer,
     _renamed,
     _sum_of_products,
+    _unchecked_variable,
     poly,
     x_var,
     y_var,
@@ -146,14 +147,15 @@ def _member(
     The member over {1..|A|} relabelled: y_j becomes y_{A[j]} and x_{i,j}
     becomes x_{A[i],A[j]}.  A is increasing and z and w sort below every y
     and x, so the relabelled ring is in increasing order and the packed term
-    map is shared as it is.
+    map is shared as it is.  The relabelled variables are valid too, so they
+    are built without ``Variable``'s check.
     """
     if not isinstance(zvar, Variable) or zvar not in (Z, W):
         raise ValueError(f"zvar must be the Variable Z or W, got {zvar!r}")
     labels = (0, *A)  # label 0 keeps z, w and a y's second index as they are
 
     def rename(v: Variable) -> Variable:
-        return zvar if v == Z else Variable(v.family, labels[v.a], labels[v.b])
+        return zvar if v == Z else _unchecked_variable((v.family, labels[v.a], labels[v.b]))
 
     return _renamed(_expand(len(A), family, at), rename)
 

@@ -1,0 +1,32 @@
+"""The benchmark's answer checks, run in-process on the default seed.
+
+``bench/workloads.py`` checks every job against a route that shares no code
+with the engine, or against the identity-side digests pinned in
+``bench/expected.json`` (sizes 3 to 5).  Running the in-process workloads
+here keeps those checks in this suite, not only in the benchmark's own
+slower tests.  The ``cli`` workload runs child processes and stays there.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import parkseq
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("workload", ["oracle", "symbolic", "randomized"])
+def test_every_job_of_the_default_seed_is_answered_correctly(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    expected = workloads.load_expected()
+    jobs = workloads.jobs_for(workload, 1)
+    failures = []
+    for index, job in enumerate(jobs):
+        summary = workloads.summarize(job, workloads.run_job(parkseq, job))
+        reason = workloads.check(job, summary, expected)
+        if reason is not None:
+            failures.append((index, job, reason))
+    assert jobs and failures == []

@@ -16,7 +16,7 @@ from parkseq.core import (
     simulate_parking,
 )
 from parkseq.counting import IndexSet, count_by_enumeration, count_by_formula, count_report
-from parkseq.poly import SparsePolynomial, Z, monomial, x_var, y_var
+from parkseq.poly import SparsePolynomial, Variable, Z, monomial, x_var, y_var
 from parkseq.strehl import (
     abel_rothe_specialize,
     f_as_t_specialization,
@@ -181,11 +181,13 @@ def test_every_entry_point_refuses_z_with_one_message(entry, z):
         (lambda: verify_recurrence((1,), True, 1), "next car size must be an integer >= 1"),
         (lambda: y_var(True), "y index must be an integer >= 1"),
         (lambda: x_var(True, 2), "x indices must be integers with 0 < i < j"),
+        (lambda: Variable(True), "family must be 0 (z), 1 (w), 2 (y) or 3 (x)"),
         (lambda: abel_rothe_specialize((1, 2), "t", True, 1), "xi must be an integer"),
         (lambda: abel_rothe_specialize((1, 2), "t", 1, True), "eta must be an integer"),
         (lambda: random_identity_check("easy", (1, 2), trials=True), "trials must be an integer"),
         (lambda: random_identity_check("easy", (1, 2), seed=True), "seed must be an integer"),
         (lambda: identity_sides("easy", (1, 2), budget=True), "budget must be an integer"),
+        (lambda: count_report((1, 2), 1, budget=True), "budget must be an integer"),
     ],
     ids=[
         "z",
@@ -200,11 +202,13 @@ def test_every_entry_point_refuses_z_with_one_message(entry, z):
         "next_size",
         "y_var",
         "x_var",
+        "Variable",
         "abel_rothe-xi",
         "abel_rothe-eta",
         "random_check-trials",
         "random_check-seed",
         "identity_sides-budget",
+        "count_report-budget",
     ],
 )
 def test_every_input_check_refuses_bool(entry, message):

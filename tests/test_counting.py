@@ -126,6 +126,22 @@ class TestEnumeration:
     def test_budget_none_lifts_guard(self):
         assert count_by_enumeration((2, 2, 1), 4, budget=None) == 288
 
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            (True, "budget must be an integer, got True"),  # ran as a budget of 1
+            (2.5, "budget must be an integer, got 2.5"),
+            ("x", "budget must be an integer, got 'x'"),
+            (0, "budget must be >= 1, got 0"),
+            (-5, "budget must be >= 1, got -5"),
+        ],
+    )
+    def test_a_budget_that_is_no_count_of_cells_is_refused(self, budget, message):
+        """Refused before the search, as ``identity_sides`` refuses its budget."""
+        for entry in (count_report, count_by_enumeration):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                entry((2, 2, 1), 4, budget=budget)
+
     def test_long_fleet_is_refused_by_the_budget(self):
         with pytest.raises(EnumerationBudgetError) as err:
             count_report((1,) * 1200, 1)

@@ -355,6 +355,35 @@ class TestVariableContract:
             assert not first < second and not second < first
         assert {x_var(1, 2): 1}[x_var(1, 2)] == 1
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((2, 3, 9), "y takes one index, got (3, 9)"),  # would print y3, as y_var(3) does
+            ((0, 5), "z takes no indices, got (5, 0)"),  # would print z but differ from Z
+            ((1, 0, 2), "w takes no indices, got (0, 2)"),
+            ((True,), "family must be 0 (z), 1 (w), 2 (y) or 3 (x), got True"),
+            ((7,), "family must be 0 (z), 1 (w), 2 (y) or 3 (x), got 7"),
+            ((2, 0), "y index must be an integer >= 1, got 0"),
+            ((2, True), "y index must be an integer >= 1, got True"),
+            ((3, 2, 1), "x indices must be integers with 0 < i < j, got (2, 1)"),
+            ((3, 1, 2.0), "x indices must be integers with 0 < i < j, got (1, 2.0)"),
+            ((0, 0.0), "z takes no indices, got (0.0, 0)"),
+        ],
+    )
+    def test_fields_the_renderer_cannot_tell_apart_are_refused(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Variable(*fields)
+
+    def test_replace_and_make_are_checked(self):
+        assert x_var(1, 2)._replace(b=9) == x_var(1, 9)
+        assert Variable._make((2, 4, 0)) == y_var(4)
+        with pytest.raises(ValueError, match="x indices"):
+            x_var(1, 2)._replace(a=5)
+        with pytest.raises(ValueError, match="z takes no indices"):
+            Z._replace(a=1)
+        with pytest.raises(ValueError, match="y index"):
+            Variable._make((2, 0, 0))
+
     def test_term_keys_hold_variables(self):
         p = (poly(Z) + y_var(1) + x_var(1, 2)) * (poly(W) + y_var(2)) * 3
         for mono in p.terms:
@@ -531,7 +560,9 @@ sum_operands = st.one_of(
         st.lists(
             st.tuples(
                 st.dictionaries(
-                    st.sampled_from(SUM_VARS), st.sampled_from([1, 2, 63, 64, 100]), max_size=3
+                    st.sampled_from(SUM_VARS),
+                    st.sampled_from([1, 2, 63, 64, 100, 130]),
+                    max_size=3,
                 ),
                 st.integers(-2, 2),
             ),
@@ -541,19 +572,33 @@ sum_operands = st.one_of(
 )
 
 
+def _built(*entries):
+    """A polynomial built through ``_packed``, which shares no code with the product kernel."""
+    return SparsePolynomial.from_terms(entries)
+
+
 @given(st.lists(st.tuples(sum_operands, sum_operands), max_size=6))
 # every product cancels
 @example([(poly(y_var(1)), poly(Z)), (poly(Z), -poly(y_var(1)))])
 # x_{1,5} cancels out of the sum, and y_1 reaches 200, past 127
 @example([
-    (poly(y_var(1)) ** 100, poly(y_var(1)) ** 100 + x_var(1, 5)),
-    (poly(x_var(1, 5)), -(poly(y_var(1)) ** 100)),
+    (_built(({y_var(1): 100}, 1)), _built(({y_var(1): 100}, 1), ({x_var(1, 5): 1}, 1))),
+    (poly(x_var(1, 5)), _built(({y_var(1): 100}, -1))),
     (poly(3), poly(W)),
 ])
+# a factor of two fields at width 8 laid out at width 16
+@example([(_built(({y_var(1): 130}, 1)), _built(({Z: 1, W: 1}, 1), ({W: 2}, -1)))])
 def test_sum_of_products_matches_the_literal_sum(pairs):
-    """One term map for the whole sum equals adding the products one by one,
-    down to the canonical ring and width."""
-    expected = sum((a * b for a, b in pairs), poly(0))
-    got = _sum_of_products(pairs)
-    assert got == expected and hash(got) == hash(expected)
-    assert got.terms == expected.terms and str(got) == str(expected)
+    """One term map for the whole sum equals the literal sum of the literal
+    products, down to the canonical ring and width.
+
+    ``*`` itself goes through ``_sum_of_products``, so the expected value
+    comes from the dict-of-tuples reference, and the ring, width and hash
+    from the reference rebuilt through the constructor."""
+    ref = {}
+    for a, b in pairs:
+        ref = _ref_add(ref, _ref_mul(a.terms, b.terms))
+    got, rebuilt = _sum_of_products(pairs), SparsePolynomial(ref)
+    assert got.terms == ref and str(got) == _literal_render(ref)
+    assert (got._ring, got._bits) == (rebuilt._ring, rebuilt._bits)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
