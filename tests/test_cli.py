@@ -177,6 +177,16 @@ class TestCount:
         assert code == 0
         assert "match=true" in out
 
+    def test_forced_lot_too_long_to_index_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--sizes", "1,1", "--z", str(10**20), "--enumerate", "--force"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: a lot of {10**20 + 1} spots is too long to enumerate"
+            f" (a row holds at most {sys.maxsize} spots)\n"
+        )
+
     @pytest.mark.parametrize("sizes", [["1"] * 1200, [str(10**9)] * 500], ids=["1x1200", "500x1e9"])
     def test_long_fleet_refusal_is_short(self, capsys, sizes):
         code, out, err = run_cli(

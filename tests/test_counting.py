@@ -6,7 +6,7 @@ import sys
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkseq import counting
@@ -164,6 +164,36 @@ class TestEnumeration:
         assert report.enumerated == parked
         assert report.tuples_scanned == m ** len(sizes)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 6), max_size=3).map(tuple), st.integers(1, 8))
+    @example((3, 1, 2), 1)  # the last car meets runs shorter than its block
+    @example((1, 4, 2), 2)  # a run ending at spot m, after a one-spot run
+    @example((2, 6, 1), 8)  # the first run starts at z and must hold a block of 6
+    def test_run_walk_matches_literal_odometer(self, sizes, z):
+        """Larger cars and longer trailers than the odometer test above, so
+        the row breaks into runs shorter than, equal to and longer than the
+        block, on either side of a trailer of up to 7 spots."""
+        m = z - 1 + sum(sizes)
+        assert m ** len(sizes) <= 20_000
+        parked = sum(
+            is_parking_sequence(sizes, z, prefs)
+            for prefs in itertools.product(range(1, m + 1), repeat=len(sizes))
+        )
+        report = count_report(sizes, z, budget=None)
+        assert report.enumerated == parked
+        assert report.tuples_scanned == m ** len(sizes)
+
+    @pytest.mark.parametrize("budget", [None, DEFAULT_BUDGET])
+    def test_a_lot_too_long_to_index_is_refused(self, monkeypatch, budget):
+        monkeypatch.setattr(counting, "_search", _no_search)
+        m = 10**20 + 1
+        assert m > sys.maxsize
+        with pytest.raises(ValueError) as err:
+            count_report((1, 1), 10**20, budget=budget)
+        assert str(err.value) == (
+            f"a lot of {m} spots is too long to enumerate (a row holds at most {sys.maxsize} spots)"
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 3), max_size=3).map(tuple), st.integers(1, 3))
     def test_oracle_agrees_with_formula(self, sizes, z):
@@ -272,6 +302,19 @@ class TestSearchStates:
         assert report.enumerated == count_by_formula((1,) * 10, 1) == 11**9
         assert report.tuples_scanned == 10**10
         assert _search((1,) * 10, 1, 10)[2] == _state_bound((1,) * 10) == 2**10 - 1
+
+    @pytest.mark.parametrize(
+        "sizes, z, states",
+        [((100000,), 1, 1), ((2000, 2000), 1, 2002), ((2000, 2000), 3, 2002), ((5, 1, 5), 40, 44)],
+    )
+    def test_long_rows(self, sizes, z, states):
+        """Rows of up to 100,000 spots, walked one run at a time, in milliseconds."""
+        m = z - 1 + sum(sizes)
+        assert _search(sizes, z, m) == (
+            count_by_formula(sizes, z),
+            m ** len(sizes),
+            states,
+        )
 
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 10**9))
     def test_capped_binomial(self, n, k, cap):
