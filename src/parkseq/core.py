@@ -13,6 +13,8 @@ occupancy row; tests hold it to `simulate_parking`.
 
 from __future__ import annotations
 
+import sys
+from math import log10
 from typing import NamedTuple, Optional, Sequence, Union
 
 TRAILER = 0
@@ -109,6 +111,14 @@ def _check_z(z: int) -> None:
         raise ValueError(f"trailer parameter z must be an integer >= 1, got {z!r}")
 
 
+def _decimal(v: int) -> str:
+    """``v`` in decimal, or ``[d digits]`` when it has more than 40."""
+    if v < 10**40:
+        return str(v)
+    d = int((v.bit_length() - 1) * log10(2)) + 1  # v has d or d + 1 digits
+    return f"[{d + (v >= 10**d)} digits]"
+
+
 def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingOutcome:
     """Park every car by the greedy rule and report how the attempt ended.
 
@@ -117,7 +127,8 @@ def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingO
     and are empty.  The first failure is returned as ``Collision`` or
     ``Overflow``; malformed input raises ``ValueError`` instead.  A wrong
     number of preferences or a preference past the last spot is malformed
-    input, not a failed parking attempt.
+    input, not a failed parking attempt; so is a lot of more than
+    ``sys.maxsize`` spots, which no row can index.
     """
     cars = as_car_sizes(sizes)
     _check_z(z)
@@ -131,6 +142,11 @@ def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingO
     for i, c in enumerate(prefs, start=1):
         if c > m:
             raise ValueError(f"car {i} prefers spot {c} but the lot ends at spot {m}")
+    if m > sys.maxsize:
+        raise ValueError(
+            f"a lot of {_decimal(m)} spots is too long to simulate"
+            f" (a row holds at most {sys.maxsize} spots)"
+        )
 
     cells: list[Cell] = [None] * (m + 1)  # 1-based; cells[0] unused
     for k in range(1, z):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from math import comb, log10
+from math import comb
 from typing import Iterable, Iterator
 
-from .core import SizesLike, _check_z, as_car_sizes
+from .core import SizesLike, _check_z, _decimal, as_car_sizes
 
 DEFAULT_BUDGET = 4 * 10**6
 PARTITION_LIMIT = 30
@@ -40,13 +40,9 @@ class EnumerationBudgetError(Exception):
         self.states = states
         self.budget = budget
 
-
-def _decimal(v: int) -> str:
-    """``v`` in decimal, or ``[d digits]`` when it has more than 40."""
-    if v < 10**40:
-        return str(v)
-    d = int((v.bit_length() - 1) * log10(2)) + 1  # v has d or d + 1 digits
-    return f"[{d + (v >= 10**d)} digits]"
+    def __reduce__(self):
+        # rebuilt from its five values, so it pickles and copies like the other results
+        return type(self), (self.m, self.n, self.total, self.budget, self.states)
 
 
 class IndexSet(tuple):
@@ -247,9 +243,9 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
     the cost follows the parking prefixes rather than ``m**n``; every tuple is
     still accounted for.  Prefixes that leave the same occupancy row share
     their future too, so the cost is the number of (car, row) states reached,
-    each walking its row of ``m`` spots.  Refuses to start when an upper
-    bound on those row cells exceeds ``budget`` (pass ``budget=None`` to lift
-    the guard; see ``count_report``).
+    each walking the runs of empty spots in its row of ``m`` spots.  Refuses
+    to start when an upper bound on those row cells exceeds ``budget`` (pass
+    ``budget=None`` to lift the guard; see ``count_report``).
     """
     return count_report(sizes, z, budget=budget).enumerated
 

@@ -24,8 +24,11 @@ the ring holds exactly the variables some term uses (cancellation drops the
 others) and the width is the narrowest that fits, so equality of
 polynomials is equality of ring, width and term map.  ``str`` lists the
 terms in increasing order of their (variable, exponent) tuples, and
-``terms`` is the map keyed by those tuples.  There is no floating point
-anywhere in this module.
+``terms`` is the map keyed by those tuples.  One encoder, ``_packed``, packs
+monomials, for the two constructors; one decoder, ``_Pieces``, unpacks them,
+for ``terms`` and ``str``, and through ``terms`` for ``evaluate`` and
+``substitute``, which both fold the decoded terms in ``_folded``.  There is
+no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import random
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache, partial, reduce
+from math import prod
 from operator import or_
 from typing import Callable, Iterable, Mapping, Union
 
@@ -426,31 +430,17 @@ class SparsePolynomial:
         if isinstance(values, ParameterAssignment):
             lookup = values.value_of
         else:
-            mapping = values
-
             def lookup(v: Variable) -> int:
                 try:
-                    value = mapping[v]
+                    value = values[v]
                 except KeyError:
                     raise ValueError(f"no value assigned to {v}") from None
                 _check_integer(value, v)
                 return value
 
-        n, bits, mask = len(self._ring), self._bits, (1 << self._bits) - 1
-        fields = [(lookup(v), bits * (n - 1 - i)) for i, v in enumerate(self._ring)]
-        total = 0
-        for k, coeff in self._terms.items():
-            term = coeff
-            for value, shift in fields:
-                e = k >> shift & mask
-                if e:
-                    term *= value**e
-            total += term
-        return total
+        return _folded(self, {v: lookup(v) for v in self._ring})
 
-    def substitute(
-        self, rules: Mapping[Variable, "PolyLike"]
-    ) -> "SparsePolynomial":
+    def substitute(self, rules: Mapping[Variable, "PolyLike"]) -> "SparsePolynomial":
         """Simultaneous substitution: each original variable is replaced once.
 
         Variables without a rule stay themselves.  Rule targets may be
@@ -459,16 +449,7 @@ class SparsePolynomial:
         if not rules:
             return self
         images = {v: poly(target) for v, target in rules.items()}
-        result = _ZERO
-        for mono, coeff in self.terms.items():
-            term = SparsePolynomial._raw(
-                *_packed({tuple((v, e) for v, e in mono if v not in images): coeff})
-            )
-            for v, e in mono:
-                if v in images:
-                    term = term * images[v] ** e
-            result = result + term
-        return result
+        return poly(_folded(self, {v: images.get(v, poly(v)) for v in self._ring}))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -536,6 +517,12 @@ def _sum_of_products(
     if 0 in out.values():
         out = {k: c for k, c in out.items() if c}
     return _trimmed(ring, bits, out)
+
+
+def _folded(p: SparsePolynomial, point: Mapping[Variable, object]) -> int | SparsePolynomial:
+    """``p`` with ``point[v]`` put in for every variable v at once: ``evaluate`` passes ints,
+    ``substitute`` polynomials."""
+    return sum(c * prod([point[v] ** e for v, e in mono]) for mono, c in p.terms.items())
 
 
 def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> SparsePolynomial:

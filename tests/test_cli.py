@@ -82,6 +82,15 @@ class TestPark:
         code, out, err = run_cli(capsys, "park", "--sizes", sizes, "--z", z, "--prefs", prefs)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("sizes,z", [("1", str(10**20)), (str(10**20), "1")])
+    def test_lot_too_long_to_index_is_refused(self, capsys, sizes, z):
+        code, out, err = run_cli(capsys, "park", "--sizes", sizes, "--z", z, "--prefs", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: a lot of {10**20} spots is too long to simulate"
+            f" (a row holds at most {sys.maxsize} spots)\n"
+        )
+
     def test_invalid_preference_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "park", "--sizes", "2,1", "--z", "1", "--prefs", "9,1")
         assert code == 2
@@ -476,6 +485,31 @@ class TestTable:
     def test_n_max_guard(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--n-max", "13")
         assert code == 2
+
+
+EXTREME_FLAGS = {
+    "park-long-trailer": ["park", "--sizes", "1", "--z", str(10**20), "--prefs", "1"],
+    "park-long-car": ["park", "--sizes", str(10**20), "--z", "1", "--prefs", "1"],
+    "count-forced-long-lot": ["count", "--sizes", "1,1", "--z", str(10**20), "--enumerate", "--force"],
+    "count-long-car": ["count", "--sizes", str(10**20), "--z", "1"],
+    "count-two-long-cars": ["count", "--sizes", "1000000,1000000", "--z", "1", "--enumerate"],
+    "verify-31-members": [
+        "verify", "sheffer", "--set", ",".join(map(str, range(1, 32))), "--trials", "1"
+    ],
+    "verify-empty-set": ["verify", "all", "--set", ""],
+    "table-past-limit": ["table", "--n-max", "13"],
+}
+
+
+@pytest.mark.parametrize("argv", EXTREME_FLAGS.values(), ids=EXTREME_FLAGS)
+def test_extreme_valid_flags_never_raise(capsys, argv):
+    """Valid flags at their extremes end in an exit code, never a traceback, and a
+    refusal says why on stderr and prints nothing on stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines())
 
 
 def test_identical_flags_produce_identical_bytes(capsys):

@@ -1,6 +1,7 @@
 """Simulator unit tests and invariants."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,15 @@ def test_preference_outside_lot_is_rejected_not_counted():
         simulate_parking((2, 1), 1, (9, 1))
     with pytest.raises(ValueError):
         simulate_parking((1,), 1, (0,))
+
+
+@pytest.mark.parametrize("sizes,z", [((1,), 10**20), ((10**20,), 1)], ids=["trailer", "car"])
+def test_a_lot_too_long_to_index_is_refused(sizes, z):
+    message = (
+        f"a lot of {10**20} spots is too long to simulate (a row holds at most {sys.maxsize} spots)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_parking(sizes, z, (1,))
 
 
 def test_preference_count_must_match_cars():

@@ -479,6 +479,27 @@ def _ref_evaluate(terms, point):
     return total
 
 
+def _ref_substitute(terms, images):
+    """Each variable with an image replaced by it, all at once, on tuple-keyed maps."""
+    out = {}
+    for mono, c in terms.items():
+        term = {(): c}
+        for v, e in mono:
+            for _ in range(e):
+                term = _ref_mul(term, images.get(v, {((v, 1),): 1}))
+        out = _ref_add(out, term)
+    return out
+
+
+# An int, a variable that has a rule of its own, and a polynomial.
+REFERENCE_RULES = {Z: W, W: poly(y_var(12)) - poly(x_var(1, 9)), y_var(2): -2}
+REFERENCE_IMAGES = {
+    Z: {((W, 1),): 1},
+    W: {((y_var(12), 1),): 1, ((x_var(1, 9), 1),): -1},
+    y_var(2): {(): -2},
+}
+
+
 @st.composite
 def _related_pairs(draw):
     """Two term maps over variable sets that are disjoint, interleaved, nested or overlapping."""
@@ -550,6 +571,9 @@ def test_arithmetic_matches_a_literal_dict_of_tuples_reference(pair):
         assert p == rebuilt and hash(p) == hash(rebuilt)
     assert (a == b) is (ref_a == ref_b)
     assert (a + b == b + a) and (a * b == b * a)
+    for p, ref in ((a, ref_a), (b, ref_b)):
+        got, expected = p.substitute(REFERENCE_RULES), _ref_substitute(ref, REFERENCE_IMAGES)
+        assert got.terms == expected and got == SparsePolynomial(expected)
 
 
 SUM_VARS = [Z, W, y_var(1), y_var(5), x_var(1, 5), x_var(2, 3)]

@@ -1,4 +1,7 @@
-"""The public result records: their text, immutability, equality and checks."""
+"""The public result records: their text, immutability, equality, checks and copies."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -6,10 +9,17 @@ from parkseq import (
     CarSizeVector,
     Collision,
     CountReport,
+    EnumerationBudgetError,
+    IndexSet,
     LotLayout,
     Overflow,
     ParameterAssignment,
     Parked,
+    Z,
+    count_report,
+    poly,
+    x_var,
+    y_var,
 )
 
 RECORDS = {
@@ -112,3 +122,47 @@ def test_default_assignments_share_no_mutable_state():
     first.y_vals[1] = 7
     first.x_vals[1, 2] = 7
     assert (second.y_vals, second.x_vals) == ({}, {})
+
+
+def _budget_error():
+    try:
+        count_report((1,) * 30, 1)
+    except EnumerationBudgetError as err:
+        return err
+    raise AssertionError("thirty unit cars fit the default budget")
+
+
+PUBLIC_VALUES = {
+    "SparsePolynomial": (poly(Z) + 2) * poly(x_var(1, 2)) - poly(y_var(3)) ** 130,
+    "SparsePolynomial-zero": poly(0),
+    "Variable": x_var(1, 2),
+    "IndexSet": IndexSet((1, 3)),
+    "CarSizeVector": CarSizeVector((1, 2)),
+    "ParameterAssignment": ParameterAssignment(1, -2, {1: 3}, {(1, 2): 4}),
+    "CountReport": CountReport(3, 3, True, 9),
+    "LotLayout": LotLayout((0, 1, None)),
+    "Parked": Parked(LotLayout((1,))),
+    "Collision": Collision(2, 1, 2),
+    "Overflow": Overflow(1, None),
+    "EnumerationBudgetError": _budget_error(),
+}
+
+COPIES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", COPIES.values(), ids=COPIES)
+@pytest.mark.parametrize("value", PUBLIC_VALUES.values(), ids=PUBLIC_VALUES)
+def test_every_public_value_pickles_and_copies(value, how):
+    """A worker process can send any result, the budget error included, back whole."""
+    copied = how(value)
+    assert type(copied) is type(value)
+    if isinstance(value, EnumerationBudgetError):
+        fields = ("m", "n", "total", "budget", "states")
+        assert str(copied) == str(value)
+        assert [getattr(copied, f) for f in fields] == [getattr(value, f) for f in fields]
+    else:
+        assert copied == value
