@@ -24,7 +24,12 @@ the ring holds exactly the variables some term uses (cancellation drops the
 others) and the width is the narrowest that fits, so equality of
 polynomials is equality of ring, width and term map.  ``str`` lists the
 terms in increasing order of their (variable, exponent) tuples, and
-``terms`` is the map keyed by those tuples.  One encoder, ``_packed``, packs
+``terms`` is the map keyed by those tuples.  ``_printed_order`` alone sorts
+the packed keys into that order.  A polynomial may carry the sorted keys
+(``_order``; ``None`` unless ``_with_printed_order`` set it), and then
+``str`` does not sort: ``strehl`` keeps them on its cached identity sides,
+and ``_renamed`` passes them on, because an order-keeping renaming keeps
+every key.  One encoder, ``_packed``, packs
 monomials, for the two constructors; one decoder, ``_Pieces``, unpacks them,
 for ``terms`` and ``str``, and through ``terms`` for ``evaluate`` and
 ``substitute``, which both fold the decoded terms in ``_folded``.  There is
@@ -313,16 +318,20 @@ def _factor_text(pairs: list[tuple[Variable, int]]) -> str:
 class SparsePolynomial:
     """Immutable exact polynomial; supports ``+ - *`` with ints and peers."""
 
-    __slots__ = ("_ring", "_bits", "_terms")
+    __slots__ = ("_ring", "_bits", "_terms", "_order")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         self._ring, self._bits, self._terms = _packed(_canonical_terms((terms or {}).items()))
+        self._order = None
 
     @classmethod
-    def _raw(cls, ring: Ring, bits: int, terms: dict[int, int]) -> "SparsePolynomial":
-        # internal fast path: ring, width and terms already canonical
+    def _raw(
+        cls, ring: Ring, bits: int, terms: dict[int, int], order: list[int] | None = None
+    ) -> "SparsePolynomial":
+        # internal fast path: ring, width and terms already canonical; ``order``,
+        # if given, is the ``_printed_order`` of these keys, so ``str`` skips the sort
         p = cls.__new__(cls)
-        p._ring, p._bits, p._terms = ring, bits, terms
+        p._ring, p._bits, p._terms, p._order = ring, bits, terms, order
         return p
 
     @classmethod
@@ -454,22 +463,11 @@ class SparsePolynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        terms, bits = self._terms, self._bits
-        top = _repunit(len(self._ring), bits) << (bits - 1)  # the top bit of every field
-        below = top - (top >> (bits - 1))  # every other bit of every field
-        # Sorting by ``key | gaps`` sorts by the (variable, exponent) tuples:
-        # ``gaps`` sets the top bit of each zero field above the last nonzero
-        # one, so a variable that a monomial skips sorts after every power of
-        # it, and one past its last variable sorts before every power of it.
-        # ``nonzero`` holds the top bit of each nonzero field, and
-        # ``-(nonzero & -nonzero)`` every bit from the last one's up.
-        order = [k | ((top ^ nonzero) & -(nonzero & -nonzero))
-                 for k in terms for nonzero in [(k + below) & top]]
-        keep = ~top
-        high, shift, mask, low = _decoder(self._ring, bits, _factor_text)
+        terms = self._terms
+        order = _printed_order(self) if self._order is None else self._order
+        high, shift, mask, low = _decoder(self._ring, self._bits, _factor_text)
         parts = []
-        for s in sorted(order):
-            k = s & keep
+        for k in order:
             coeff, factors = terms[k], high[k >> shift] + low[k & mask]  # "*y1*z^2", or ""
             sign = " - " if coeff < 0 else " + "
             if factors and abs(coeff) == 1:
@@ -530,9 +528,37 @@ def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> Spa
 
     The renaming must keep the ring in increasing order.  Then every field
     stays in its place, so the packed term map is shared as it is and only
-    the ring changes.
+    the ring changes.  The printed order of the keys stays too, so a kept
+    order is passed on.
     """
-    return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms)
+    return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms, p._order)
+
+
+def _printed_order(p: SparsePolynomial) -> list[int]:
+    """The keys of ``p``'s term map, the map's own ints, in the order ``str`` prints them.
+
+    That is increasing order of the terms' (variable, exponent) tuples, and
+    sorting by ``key | gaps`` gives it: ``gaps`` sets the top bit of each
+    zero field above the last nonzero one, so a variable that a monomial
+    skips sorts after every power of it, and one past its last variable
+    sorts before every power of it.
+    """
+    bits = p._bits
+    top = _repunit(len(p._ring), bits) << (bits - 1)  # the top bit of every field
+    below = top - (top >> (bits - 1))  # every other bit of every field
+
+    def sort_key(k: int) -> int:
+        # ``nonzero`` holds the top bit of each nonzero field, and
+        # ``-(nonzero & -nonzero)`` every bit from the last one's up
+        nonzero = (k + below) & top
+        return k | ((top ^ nonzero) & -(nonzero & -nonzero))
+
+    return sorted(p._terms, key=sort_key)
+
+
+def _with_printed_order(p: SparsePolynomial) -> SparsePolynomial:
+    """``p`` sharing its term map, with its ``_printed_order`` kept for ``str``."""
+    return SparsePolynomial._raw(p._ring, p._bits, p._terms, _printed_order(p))
 
 
 def _coerce(value: object) -> SparsePolynomial | None:

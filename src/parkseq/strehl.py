@@ -33,9 +33,12 @@ side of a convolution), and ``t_poly``, ``s_poly`` and that left side
 relabel it onto A, putting z or w in for z.  The renaming keeps the ring
 in increasing order, and a packed monomial's fields follow the ring's
 order, so every key keeps its value and the term map is shared as it is;
-only the ring changes.  The symbolic right side adds its 2^|A| split
-products into one term map (``poly._sum_of_products``), for every ground
-set anew.
+only the ring changes.  ``identity_sides`` does the same with whole sides:
+``_sides`` builds both over {1..k} once per identity and size, the right
+side adding its 2^k split products into one term map
+(``poly._sum_of_products``).  A right side equal to the left shares its
+map, and each cached side keeps the printed order of its keys, which the
+relabelling keeps, so ``str`` of a relabelled side does not sort.
 The exact right side of a convolution is the top coefficient of a subset
 convolution, summed by a blocked subset transform: the splits of the (at
 most ``_BLOCK``) smallest members of A are laid out as lists indexed by
@@ -77,6 +80,7 @@ from .poly import (
     _renamed,
     _sum_of_products,
     _unchecked_variable,
+    _with_printed_order,
     poly,
     x_var,
     y_var,
@@ -139,25 +143,31 @@ def _expand(k: int, family: str, at: SparsePolynomial) -> SparsePolynomial:
     return poly(_product(A, family, at, *_symbols(A)))
 
 
-def _member(
-    A: IndexSet, family: str, at: SparsePolynomial, zvar: Variable = Z
-) -> SparsePolynomial:
-    """The ``family`` member over A at ``at``, with ``zvar``, z or w, put in for z.
+def _relabelled(p: SparsePolynomial, A: IndexSet, zvar: Variable = Z) -> SparsePolynomial:
+    """``p``, a polynomial over {1..|A|}, relabelled onto A, with ``zvar`` put in for z.
 
-    The member over {1..|A|} relabelled: y_j becomes y_{A[j]} and x_{i,j}
-    becomes x_{A[i],A[j]}.  A is increasing and z and w sort below every y
-    and x, so the relabelled ring is in increasing order and the packed term
-    map is shared as it is.  The relabelled variables are valid too, so they
-    are built without ``Variable``'s check.
+    y_j becomes y_{A[j]} and x_{i,j} becomes x_{A[i],A[j]}; w stays.  A is
+    increasing and z and w sort below every y and x, so the relabelled ring
+    is in increasing order and the packed term map is shared as it is.  The
+    relabelled variables are valid too, so they are built without
+    ``Variable``'s check.
     """
-    if not isinstance(zvar, Variable) or zvar not in (Z, W):
-        raise ValueError(f"zvar must be the Variable Z or W, got {zvar!r}")
     labels = (0, *A)  # label 0 keeps z, w and a y's second index as they are
 
     def rename(v: Variable) -> Variable:
         return zvar if v == Z else _unchecked_variable((v.family, labels[v.a], labels[v.b]))
 
-    return _renamed(_expand(len(A), family, at), rename)
+    return _renamed(p, rename)
+
+
+def _member(
+    A: IndexSet, family: str, at: SparsePolynomial, zvar: Variable = Z
+) -> SparsePolynomial:
+    """The ``family`` member over A at ``at``, with ``zvar``, z or w, put in for z:
+    the member over {1..|A|}, relabelled."""
+    if not isinstance(zvar, Variable) or zvar not in (Z, W):
+        raise ValueError(f"zvar must be the Variable Z or W, got {zvar!r}")
+    return _relabelled(_expand(len(A), family, at), A, zvar)
 
 
 def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
@@ -201,7 +211,9 @@ def identity_sides(
     Every identity expands family members whose term counts grow
     exponentially in |A|, and the convolutions also enumerate ``2**|A|``
     decompositions, so all three carry a size guard; pass a larger
-    ``budget`` to lift it deliberately.
+    ``budget`` to lift it deliberately.  Both sides are built once per
+    identity and size, over {1..|A|} (``_sides``), and relabelled onto A
+    sharing their term maps; equal sides share one map.
     """
     A = _as_index_set(A)
     _check_identity(identity, A)
@@ -211,13 +223,28 @@ def identity_sides(
             f"|A| = {len(A)} exceeds the symbolic expansion budget {budget};"
             " use random_identity_check instead"
         )
+    lhs, rhs = _sides(identity, len(A))
+    return _relabelled(lhs, A), _relabelled(rhs, A)
+
+
+@lru_cache(maxsize=None)
+def _sides(identity: str, k: int) -> tuple[SparsePolynomial, SparsePolynomial]:
+    """Both sides of ``identity`` over {1..k}, each keeping its printed order.
+
+    A right side equal to the left is the left side itself, so the two share
+    one term map and one order; a right side that differs is kept as summed.
+    """
+    A = IndexSet.first(k)
     z = poly(Z)
     if identity == "easy":
         head = _forms(A, z, *_symbols(A))[-1]
-        return head * t_poly(A), z * s_poly(A)
-    family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
-    pairs = ((expand(left), t_poly(right, zvar=W)) for left, right in partitions_into_two(A))
-    return _member(A, family, z + poly(W)), _sum_of_products(pairs)
+        lhs, rhs = head * t_poly(A), z * s_poly(A)
+    else:
+        family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
+        pairs = ((expand(left), t_poly(right, zvar=W)) for left, right in partitions_into_two(A))
+        lhs, rhs = _member(A, family, z + poly(W)), _sum_of_products(pairs)
+    lhs = _with_printed_order(lhs)
+    return lhs, lhs if rhs == lhs else _with_printed_order(rhs)
 
 
 def s_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:

@@ -4,7 +4,8 @@
 with the engine, or against the identity-side digests pinned in
 ``bench/expected.json`` (sizes 3 to 5).  Running the in-process workloads
 here keeps those checks in this suite, not only in the benchmark's own
-slower tests.  The ``cli`` workload runs child processes and stays there.
+slower tests; ``symbolic`` runs on a second seed too.  The ``cli``
+workload runs child processes and stays there.
 """
 
 from pathlib import Path
@@ -16,17 +17,29 @@ import parkseq
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("workload", ["oracle", "symbolic", "randomized"])
-def test_every_job_of_the_default_seed_is_answered_correctly(monkeypatch, workload):
+def failed_jobs(monkeypatch, workload, seed):
+    """The (index, job, reason) of every job of the list that is answered wrongly."""
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
     expected = workloads.load_expected()
-    jobs = workloads.jobs_for(workload, 1)
+    jobs = workloads.jobs_for(workload, seed)
+    assert jobs
     failures = []
     for index, job in enumerate(jobs):
         summary = workloads.summarize(job, workloads.run_job(parkseq, job))
         reason = workloads.check(job, summary, expected)
         if reason is not None:
             failures.append((index, job, reason))
-    assert jobs and failures == []
+    return failures
+
+
+@pytest.mark.parametrize("workload", ["oracle", "symbolic", "randomized"])
+def test_every_job_of_the_default_seed_is_answered_correctly(monkeypatch, workload):
+    assert failed_jobs(monkeypatch, workload, 1) == []
+
+
+def test_the_symbolic_jobs_of_a_second_seed_are_answered_correctly(monkeypatch):
+    """The pinned side digests are over {1..k}, so a second seed's ground
+    sets check the sides relabelled onto other labels."""
+    assert failed_jobs(monkeypatch, "symbolic", 2) == []

@@ -377,6 +377,16 @@ class TestVerify:
         assert code == 2
         assert "nonempty" in err
 
+    @pytest.mark.parametrize("suite", ["all", "easy"])
+    def test_empty_set_for_easy_is_refused_before_any_suite_runs(self, capsys, monkeypatch, suite):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran before --set was checked")
+
+        for module in ("parkseq.strehl", "parkseq.cli"):
+            monkeypatch.setattr(f"{module}.verify_recurrence", refuse)
+        code, out, err = run_cli(capsys, "verify", suite, "--set", "")
+        assert (code, out, err) == (2, "", "error: the easy identity needs a nonempty --set\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

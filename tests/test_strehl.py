@@ -9,13 +9,23 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parkseq.counting import PARTITION_LIMIT, IndexSet, count_by_formula, partitions_into_two
 from parkseq import strehl
-from parkseq.poly import ParameterAssignment, SparsePolynomial, W, Z, poly, x_var, y_var
+from parkseq.poly import (
+    ParameterAssignment,
+    SparsePolynomial,
+    W,
+    Z,
+    _sum_of_products,
+    poly,
+    x_var,
+    y_var,
+)
 from parkseq.strehl import (
+    _forms,
     _member,
     _product,
     _symbols,
@@ -134,6 +144,7 @@ class TestRelabelledExpansion:
             return _product(A, family, at, y, x)
 
         strehl._expand.cache_clear()
+        strehl._sides.cache_clear()
         monkeypatch.setattr(strehl, "_product", counted)
         assert holds("sheffer", (2, 3, 5, 8, 13, 21), budget=6)
         assert made[("s", poly(Z))] == made[("t", poly(Z))] == 7
@@ -141,6 +152,92 @@ class TestRelabelledExpansion:
         made.clear()
         assert holds("sheffer", (1, 4, 6, 7, 9, 30), budget=6)
         assert not made
+
+
+IDENTITIES = ("easy", "sheffer", "binomial")
+
+
+@st.composite
+def shifted_sets(draw):
+    """An increasing set of up to 4 labels in 2..40, so none starts at 1."""
+    return IndexSet(sorted(draw(st.sets(st.integers(2, 40), max_size=4))))
+
+
+def sides_over(identity, A):
+    """Both sides of ``identity`` summed over A itself, without the per-size sides."""
+    z = poly(Z)
+    if identity == "easy":
+        head = _forms(A, z, *_symbols(A))[-1]
+        return head * t_poly(A), z * s_poly(A)
+    family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
+    pairs = [(expand(left), t_poly(right, zvar=W)) for left, right in partitions_into_two(A)]
+    return _member(A, family, z + poly(W)), _sum_of_products(pairs)
+
+
+class TestSidesPerSize:
+    """Both sides of an identity are built once per size and relabelled onto A."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(IDENTITIES), shifted_sets())
+    def test_relabelled_sides_match_the_sums_over_the_set(self, identity, A):
+        assume(A or identity != "easy")
+        want = sides_over(identity, A)
+        strehl._sides.cache_clear()
+        for got in (identity_sides(identity, A), identity_sides(identity, A)):  # cold, warm
+            assert got == want
+            assert [str(side) for side in got] == [str(side) for side in want]
+
+    def test_a_second_set_of_a_seen_size_builds_no_side(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(strehl, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("partitions_into_two", "_sum_of_products", "t_poly", "s_poly"):
+            monkeypatch.setattr(strehl, name, counted(name))
+        strehl._sides.cache_clear()
+        for identity in IDENTITIES:
+            identity_sides(identity, (2, 5, 7, 9))
+        assert calls["partitions_into_two"] == calls["_sum_of_products"] == 2
+        calls.clear()
+        for identity in IDENTITIES:
+            assert holds(identity, (1, 3, 4, 8))
+        assert not calls
+
+    def test_equal_sides_share_one_term_map(self):
+        for identity in IDENTITIES:
+            lhs, rhs = identity_sides(identity, (3, 6, 10))
+            assert lhs._terms is rhs._terms and lhs._order is rhs._order
+
+    def test_a_broken_identity_shows_on_every_set(self, monkeypatch):
+        """A right side that differs from the left is kept as summed, so a
+        second set of the size, built from the cache, shows it too."""
+        monkeypatch.setattr(strehl, "partitions_into_two", lambda A: [*partitions_into_two(A)][1:])
+        strehl._sides.cache_clear()
+        try:
+            for A in ((1, 2, 3), (4, 9, 12)):
+                lhs, rhs = identity_sides("sheffer", A)
+                assert lhs == sides_over("sheffer", IndexSet(A))[0]
+                assert lhs != rhs and lhs._terms is not rhs._terms
+        finally:
+            strehl._sides.cache_clear()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(IDENTITIES), shifted_sets())
+    def test_sides_print_in_the_order_they_carry(self, identity, A):
+        """A rebuilt copy carries no order and sorts for itself; members carry none."""
+        assume(A or identity != "easy")
+        for side in identity_sides(identity, A):
+            copy = SparsePolynomial(side.terms)
+            assert side._order is not None and copy._order is None
+            assert str(side) == str(copy)
+        assert t_poly(A)._order is None and s_poly(A)._order is None
 
 
 class TestEasyIdentity:
