@@ -25,15 +25,16 @@ others) and the width is the narrowest that fits, so equality of
 polynomials is equality of ring, width and term map.  ``str`` lists the
 terms in increasing order of their (variable, exponent) tuples, and
 ``terms`` is the map keyed by those tuples.  ``_printed_order`` alone sorts
-the packed keys into that order.  A polynomial may carry the sorted keys
-(``_order``; ``None`` unless ``_with_printed_order`` set it), and then
-``str`` does not sort: ``strehl`` keeps them on its cached identity sides,
-and ``_renamed`` passes them on, because an order-keeping renaming keeps
-every key.  One encoder, ``_packed``, packs
-monomials, for the two constructors; one decoder, ``_Pieces``, unpacks them,
-for ``terms`` and ``str``, and through ``terms`` for ``evaluate`` and
-``substitute``, which both fold the decoded terms in ``_folded``.  There is
-no floating point anywhere in this module.
+the packed keys into that order, and ``_text`` alone writes the terms out.
+A polynomial may carry a print template (``_with_template``): its text with
+``{i}`` for the name of the i-th ring variable, so ``str`` is one ``format``
+over the ring's names.  ``strehl`` keeps one on its cached identity sides,
+and ``_renamed`` passes it on: an order-keeping renaming keeps every key and
+its printed place.  One encoder, ``_packed``, packs monomials, for the two
+constructors; one decoder, ``_Pieces``, unpacks them, for ``terms`` and
+``_text``, and through ``terms`` for ``evaluate`` and ``substitute``, which
+both fold the decoded terms in ``_folded``.  There is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -260,14 +261,14 @@ def _trimmed(ring: Ring, bits: int, terms: dict[int, int]) -> "SparsePolynomial"
 class _Pieces(dict):
     """The piece of each value of a run of ring fields, worked out once per value.
 
-    A value's piece is ``build`` of its (variable, exponent) pairs.  A run
+    A value's piece is ``build`` of its (ring entry, exponent) pairs.  A run
     of more than ``_LEAF`` fields is split in two, and a value's piece is
     the concatenation of its halves' pieces, each memoized in turn.
     """
 
     __slots__ = ("ring", "bits", "build", "halves")
 
-    def __init__(self, ring: Ring, bits: int, build: Callable):
+    def __init__(self, ring: tuple, bits: int, build: Callable):
         self.ring, self.bits, self.build = ring, bits, build
         self.halves = _halves(ring, bits, build) if len(ring) > _LEAF else None
 
@@ -284,7 +285,7 @@ class _Pieces(dict):
         return piece
 
 
-def _halves(ring: Ring, bits: int, build: Callable) -> tuple[_Pieces, int, int, _Pieces]:
+def _halves(ring: tuple, bits: int, build: Callable) -> tuple[_Pieces, int, int, _Pieces]:
     """``(high, shift, mask, low)``: the pieces of a packed monomial over ``ring`` are
     ``high[key >> shift] + low[key & mask]``."""
     half = len(ring) // 2
@@ -293,45 +294,33 @@ def _halves(ring: Ring, bits: int, build: Callable) -> tuple[_Pieces, int, int, 
     return high, shift, (1 << shift) - 1, low
 
 
-# ``terms`` and ``str`` share the memos of the rings they decoded last, so a
-# second call on a ring (the other side of an identity, or the same
+# ``terms`` (over a ring) and ``str`` (over its names) keep the memos they built
+# last in one LRU, so a second call (the other side of an identity, or the same
 # polynomial again) starts warm; the bound caps the memory the memos hold.
 _decoder = lru_cache(maxsize=_DECODERS)(_halves)
 
 
-class _PowerText(dict):
-    """``*name`` or ``*name^e`` for each (variable, exponent) pair, rendered once."""
-
-    def __missing__(self, pair: tuple[Variable, int]) -> str:
-        v, e = pair
-        text = self[pair] = f"*{v}" if e == 1 else f"*{v}^{e}"
-        return text
-
-
-_POWER_TEXT = _PowerText()
-
-
-def _factor_text(pairs: list[tuple[Variable, int]]) -> str:
-    return "".join(map(_POWER_TEXT.__getitem__, pairs))
+def _factor_text(pairs: list[tuple[str, int]]) -> str:
+    """``*name`` or ``*name^e`` for each (name, exponent) pair."""
+    return "".join(f"*{name}" if e == 1 else f"*{name}^{e}" for name, e in pairs)
 
 
 class SparsePolynomial:
     """Immutable exact polynomial; supports ``+ - *`` with ints and peers."""
 
-    __slots__ = ("_ring", "_bits", "_terms", "_order")
+    __slots__ = ("_ring", "_bits", "_terms", "_template")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         self._ring, self._bits, self._terms = _packed(_canonical_terms((terms or {}).items()))
-        self._order = None
+        self._template = None
 
     @classmethod
     def _raw(
-        cls, ring: Ring, bits: int, terms: dict[int, int], order: list[int] | None = None
+        cls, ring: Ring, bits: int, terms: dict[int, int], template: str | None = None
     ) -> "SparsePolynomial":
-        # internal fast path: ring, width and terms already canonical; ``order``,
-        # if given, is the ``_printed_order`` of these keys, so ``str`` skips the sort
+        # internal fast path: ring, width, terms and any ``_with_template`` template ready
         p = cls.__new__(cls)
-        p._ring, p._bits, p._terms, p._order = ring, bits, terms, order
+        p._ring, p._bits, p._terms, p._template = ring, bits, terms, template
         return p
 
     @classmethod
@@ -461,21 +450,10 @@ class SparsePolynomial:
         return poly(_folded(self, {v: images.get(v, poly(v)) for v in self._ring}))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        terms = self._terms
-        order = _printed_order(self) if self._order is None else self._order
-        high, shift, mask, low = _decoder(self._ring, self._bits, _factor_text)
-        parts = []
-        for k in order:
-            coeff, factors = terms[k], high[k >> shift] + low[k & mask]  # "*y1*z^2", or ""
-            sign = " - " if coeff < 0 else " + "
-            if factors and abs(coeff) == 1:
-                parts.append(sign + factors[1:])
-            else:
-                parts.append(f"{sign}{abs(coeff)}{factors}")
-        out = "".join(parts)
-        return ("-" if out[1] == "-" else "") + out[3:]
+        names = tuple(map(str, self._ring))
+        if self._template is not None:
+            return self._template.format(*names)
+        return _text(self, *_decoder(names, self._bits, _factor_text))
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
@@ -528,10 +506,10 @@ def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> Spa
 
     The renaming must keep the ring in increasing order.  Then every field
     stays in its place, so the packed term map is shared as it is and only
-    the ring changes.  The printed order of the keys stays too, so a kept
-    order is passed on.
+    the ring changes.  Every term keeps its printed place too, so a print
+    template is passed on.
     """
-    return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms, p._order)
+    return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms, p._template)
 
 
 def _printed_order(p: SparsePolynomial) -> list[int]:
@@ -556,9 +534,31 @@ def _printed_order(p: SparsePolynomial) -> list[int]:
     return sorted(p._terms, key=sort_key)
 
 
-def _with_printed_order(p: SparsePolynomial) -> SparsePolynomial:
-    """``p`` sharing its term map, with its ``_printed_order`` kept for ``str``."""
-    return SparsePolynomial._raw(p._ring, p._bits, p._terms, _printed_order(p))
+def _text(p: SparsePolynomial, high: _Pieces, shift: int, mask: int, low: _Pieces) -> str:
+    """``p``'s terms in printed order, each key's factors from the pieces of ``_halves``."""
+    terms, parts = p._terms, []
+    for k in _printed_order(p):
+        coeff, factors = terms[k], high[k >> shift] + low[k & mask]  # "*y1*z^2", or ""
+        sign = " - " if coeff < 0 else " + "
+        unit = factors and abs(coeff) == 1  # then the coefficient is left out
+        parts.append(sign + factors[1:] if unit else f"{sign}{abs(coeff)}{factors}")
+    out = "".join(parts)
+    return ("-" if out[1] == "-" else "") + out[3:] if out else "0"
+
+
+def _with_template(p: SparsePolynomial) -> SparsePolynomial:
+    """``p`` sharing its term map, carrying its print template for ``str``: its text
+    with the name ``{i}`` for the i-th ring variable, for ``format`` to fill in.
+
+    The template is built by ``_halves``, not ``_decoder``, so that it evicts
+    no ``_decoder`` memo.  ``format`` would misread any other brace, so the
+    text with every name left out must hold none.
+    """
+    slots = tuple(f"{{{i}}}" for i in range(len(p._ring)))
+    template = _text(p, *_halves(slots, p._bits, _factor_text))
+    blank = template.format(*[""] * len(slots))
+    assert "{" not in blank and "}" not in blank, "printed text holds a brace"
+    return SparsePolynomial._raw(p._ring, p._bits, p._terms, template)
 
 
 def _coerce(value: object) -> SparsePolynomial | None:

@@ -37,8 +37,8 @@ only the ring changes.  ``identity_sides`` does the same with whole sides:
 ``_sides`` builds both over {1..k} once per identity and size, the right
 side adding its 2^k split products into one term map
 (``poly._sum_of_products``).  A right side equal to the left shares its
-map, and each cached side keeps the printed order of its keys, which the
-relabelling keeps, so ``str`` of a relabelled side does not sort.
+map.  Each cached side carries a print template with a slot for each
+variable's name, so ``str`` of a relabelled side decodes and sorts nothing.
 The exact right side of a convolution is the top coefficient of a subset
 convolution, summed by a blocked subset transform: the splits of the (at
 most ``_BLOCK``) smallest members of A are laid out as lists indexed by
@@ -80,7 +80,7 @@ from .poly import (
     _renamed,
     _sum_of_products,
     _unchecked_variable,
-    _with_printed_order,
+    _with_template,
     poly,
     x_var,
     y_var,
@@ -229,10 +229,10 @@ def identity_sides(
 
 @lru_cache(maxsize=None)
 def _sides(identity: str, k: int) -> tuple[SparsePolynomial, SparsePolynomial]:
-    """Both sides of ``identity`` over {1..k}, each keeping its printed order.
+    """Both sides of ``identity`` over {1..k}, each carrying its print template.
 
     A right side equal to the left is the left side itself, so the two share
-    one term map and one order; a right side that differs is kept as summed.
+    one term map and one template; a right side that differs is kept as summed.
     """
     A = IndexSet.first(k)
     z = poly(Z)
@@ -243,8 +243,8 @@ def _sides(identity: str, k: int) -> tuple[SparsePolynomial, SparsePolynomial]:
         family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
         pairs = ((expand(left), t_poly(right, zvar=W)) for left, right in partitions_into_two(A))
         lhs, rhs = _member(A, family, z + poly(W)), _sum_of_products(pairs)
-    lhs = _with_printed_order(lhs)
-    return lhs, lhs if rhs == lhs else _with_printed_order(rhs)
+    lhs = _with_template(lhs)
+    return lhs, lhs if rhs == lhs else _with_template(rhs)
 
 
 def s_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:

@@ -1,6 +1,7 @@
 """The two polynomial families, their identities, and the counting specializations."""
 
 import hashlib
+import importlib
 import math
 import random
 import re
@@ -9,7 +10,7 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parkseq.counting import PARTITION_LIMIT, IndexSet, count_by_formula, partitions_into_two
@@ -213,7 +214,7 @@ class TestSidesPerSize:
     def test_equal_sides_share_one_term_map(self):
         for identity in IDENTITIES:
             lhs, rhs = identity_sides(identity, (3, 6, 10))
-            assert lhs._terms is rhs._terms and lhs._order is rhs._order
+            assert lhs._terms is rhs._terms and lhs._template is rhs._template
 
     def test_a_broken_identity_shows_on_every_set(self, monkeypatch):
         """A right side that differs from the left is kept as summed, so a
@@ -230,14 +231,44 @@ class TestSidesPerSize:
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(IDENTITIES), shifted_sets())
-    def test_sides_print_in_the_order_they_carry(self, identity, A):
-        """A rebuilt copy carries no order and sorts for itself; members carry none."""
+    @example("easy", IndexSet((3, 8, 11, 12, 40)))  # 16 ring variables: {10} to {15}
+    @example("sheffer", IndexSet((2, 5, 7, 9, 10)))
+    @example("binomial", IndexSet((1, 6, 13, 14, 27)))
+    def test_sides_print_from_their_template(self, identity, A):
+        """With cold caches and warm ones, a side prints as a rebuilt copy does,
+        which carries no template and decodes and sorts for itself; members
+        carry none."""
         assume(A or identity != "easy")
-        for side in identity_sides(identity, A):
-            copy = SparsePolynomial(side.terms)
-            assert side._order is not None and copy._order is None
-            assert str(side) == str(copy)
-        assert t_poly(A)._order is None and s_poly(A)._order is None
+        strehl._sides.cache_clear()
+        strehl._expand.cache_clear()
+        for sides in (identity_sides(identity, A), identity_sides(identity, A)):  # cold, warm
+            for side in sides:
+                copy = SparsePolynomial(side.terms)
+                assert side._template is not None and copy._template is None
+                assert str(side) == str(copy)
+                assert all(f"{{{i}}}" in side._template for i in range(len(side._ring)))
+        assert t_poly(A)._template is None and s_poly(A)._template is None
+
+    def test_a_cached_side_prints_without_decoding(self, monkeypatch):
+        """A second set of a size already cached prints from the template alone."""
+        pinned = {
+            "easy": "z*y9*y12 + z*y9*x9_12 + z*y9^2 + z*y12*x9_12 + 2*z^2*y9 + z^2*y12"
+            " + z^2*x9_12 + z^3",
+            "sheffer": "2*z*w + 2*z*y9 + z*y12 + z*x9_12 + z^2 + 2*w*y9 + w*y12 + w*x9_12"
+            " + w^2 + y9*y12 + y9*x9_12 + y9^2 + y12*x9_12",
+            "binomial": "2*z*w + z*y9 + z*x9_12 + z^2 + w*y9 + w*x9_12 + w^2",
+        }
+        for identity in IDENTITIES:
+            identity_sides(identity, (1, 2))
+        poly_module = importlib.import_module("parkseq.poly")
+
+        def refuse(*args):
+            raise AssertionError("a cached side was decoded to be printed")
+
+        monkeypatch.setattr(poly_module._Pieces, "__missing__", refuse)
+        monkeypatch.setattr(poly_module, "_decoder", refuse)
+        for identity, text in pinned.items():
+            assert [str(side) for side in identity_sides(identity, (9, 12))] == [text, text]
 
 
 class TestEasyIdentity:
