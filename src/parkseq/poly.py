@@ -24,17 +24,18 @@ the ring holds exactly the variables some term uses (cancellation drops the
 others) and the width is the narrowest that fits, so equality of
 polynomials is equality of ring, width and term map.  ``str`` lists the
 terms in increasing order of their (variable, exponent) tuples, and
-``terms`` is the map keyed by those tuples.  ``_printed_order`` alone sorts
-the packed keys into that order, and ``_text`` alone writes the terms out.
-A polynomial may carry a print template (``_with_template``): its text with
-``{i}`` for the name of the i-th ring variable, so ``str`` is one ``format``
-over the ring's names.  ``strehl`` keeps one on its cached identity sides,
-and ``_renamed`` passes it on: an order-keeping renaming keeps every key and
-its printed place.  One encoder, ``_packed``, packs monomials, for the two
+``terms`` is the map keyed by those tuples.  ``str`` fills in a print
+template, the text with ``{i}`` for the name of the i-th ring variable, by
+one ``format`` over the ring's names.  ``_template_of`` alone builds it,
+with ``_printed_order`` the one sort.  A polynomial's ``_template`` is
+``None`` or a one-element list, the cell, that ``_renamed`` puts on its
+source and shares with every copy: an order-keeping renaming keeps every
+key and its printed place, so the first ``str`` of any copy fills the cell
+for all of them.  One encoder, ``_packed``, packs monomials, for the two
 constructors; one decoder, ``_Pieces``, unpacks them, for ``terms`` and
-``_text``, and through ``terms`` for ``evaluate`` and ``substitute``, which
-both fold the decoded terms in ``_folded``.  There is no floating point
-anywhere in this module.
+``_template_of``, and through ``terms`` for ``evaluate`` and
+``substitute``, which both fold the decoded terms in ``_folded``.  There is
+no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _FAM_X = 3
 
 _BITS = 8  # the narrowest field width; wider exponents double it as often as needed
 _LEAF = 4  # fields that ``terms`` and ``str`` decode together, once per value
-_DECODERS = 4  # decode memos kept, one per recent (ring, width, build)
+_DECODERS = 4  # decode memos kept, one per recent (ring, width)
 
 
 def _is_int(value: object) -> bool:
@@ -294,9 +295,9 @@ def _halves(ring: tuple, bits: int, build: Callable) -> tuple[_Pieces, int, int,
     return high, shift, (1 << shift) - 1, low
 
 
-# ``terms`` (over a ring) and ``str`` (over its names) keep the memos they built
-# last in one LRU, so a second call (the other side of an identity, or the same
-# polynomial again) starts warm; the bound caps the memory the memos hold.
+# ``terms`` keeps the memos it built last in one LRU, so a second call (the other
+# side of an identity, or the same polynomial again) starts warm; the bound caps
+# the memory the memos hold.
 _decoder = lru_cache(maxsize=_DECODERS)(_halves)
 
 
@@ -316,9 +317,9 @@ class SparsePolynomial:
 
     @classmethod
     def _raw(
-        cls, ring: Ring, bits: int, terms: dict[int, int], template: str | None = None
+        cls, ring: Ring, bits: int, terms: dict[int, int], template: list | None = None
     ) -> "SparsePolynomial":
-        # internal fast path: ring, width, terms and any ``_with_template`` template ready
+        # internal fast path: ring, width, terms and any template cell (see ``_renamed``) ready
         p = cls.__new__(cls)
         p._ring, p._bits, p._terms, p._template = ring, bits, terms, template
         return p
@@ -450,10 +451,10 @@ class SparsePolynomial:
         return poly(_folded(self, {v: images.get(v, poly(v)) for v in self._ring}))
 
     def __str__(self) -> str:
-        names = tuple(map(str, self._ring))
-        if self._template is not None:
-            return self._template.format(*names)
-        return _text(self, *_decoder(names, self._bits, _factor_text))
+        cell = self._template or [None]
+        if cell[0] is None:
+            cell[0] = _template_of(self)
+        return cell[0].format(*map(str, self._ring))
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
@@ -506,9 +507,12 @@ def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> Spa
 
     The renaming must keep the ring in increasing order.  Then every field
     stays in its place, so the packed term map is shared as it is and only
-    the ring changes.  Every term keeps its printed place too, so a print
-    template is passed on.
+    the ring changes.  Every term keeps its printed place too, so ``p`` and
+    all its copies share one template cell, put on ``p`` here if it has
+    none, and the first ``str`` of any of them fills it for the rest.
     """
+    if p._template is None:
+        p._template = [None]
     return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms, p._template)
 
 
@@ -534,31 +538,27 @@ def _printed_order(p: SparsePolynomial) -> list[int]:
     return sorted(p._terms, key=sort_key)
 
 
-def _text(p: SparsePolynomial, high: _Pieces, shift: int, mask: int, low: _Pieces) -> str:
-    """``p``'s terms in printed order, each key's factors from the pieces of ``_halves``."""
+def _template_of(p: SparsePolynomial) -> str:
+    """``p``'s text with the name ``{i}`` for the i-th ring variable, for ``format`` to fill in.
+
+    The terms go in printed order, each key's factors from the pieces of
+    ``_halves``, not ``_decoder``, so that a build evicts no ``_decoder``
+    memo.  ``format`` would misread any other brace, so the text with every
+    name left out must hold none.
+    """
+    slots = tuple(f"{{{i}}}" for i in range(len(p._ring)))
+    high, shift, mask, low = _halves(slots, p._bits, _factor_text)
     terms, parts = p._terms, []
     for k in _printed_order(p):
-        coeff, factors = terms[k], high[k >> shift] + low[k & mask]  # "*y1*z^2", or ""
+        coeff, factors = terms[k], high[k >> shift] + low[k & mask]  # "*{0}*{2}^2", or ""
         sign = " - " if coeff < 0 else " + "
         unit = factors and abs(coeff) == 1  # then the coefficient is left out
         parts.append(sign + factors[1:] if unit else f"{sign}{abs(coeff)}{factors}")
     out = "".join(parts)
-    return ("-" if out[1] == "-" else "") + out[3:] if out else "0"
-
-
-def _with_template(p: SparsePolynomial) -> SparsePolynomial:
-    """``p`` sharing its term map, carrying its print template for ``str``: its text
-    with the name ``{i}`` for the i-th ring variable, for ``format`` to fill in.
-
-    The template is built by ``_halves``, not ``_decoder``, so that it evicts
-    no ``_decoder`` memo.  ``format`` would misread any other brace, so the
-    text with every name left out must hold none.
-    """
-    slots = tuple(f"{{{i}}}" for i in range(len(p._ring)))
-    template = _text(p, *_halves(slots, p._bits, _factor_text))
+    template = ("-" if out[1] == "-" else "") + out[3:] if out else "0"
     blank = template.format(*[""] * len(slots))
     assert "{" not in blank and "}" not in blank, "printed text holds a brace"
-    return SparsePolynomial._raw(p._ring, p._bits, p._terms, template)
+    return template
 
 
 def _coerce(value: object) -> SparsePolynomial | None:

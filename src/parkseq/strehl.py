@@ -28,17 +28,17 @@ or probabilistically (exact big-integer evaluation at seeded random points).
 A member depends on A only through the order of its labels: over an
 increasing k-set A it is the member over {1..k} with y_j renamed y_{A[j]}
 and x_{i,j} renamed x_{A[i],A[j]}.  So ``_expand`` multiplies out each
-member once per size, family and main variable (z, or z + w for the left
-side of a convolution), and ``t_poly``, ``s_poly`` and that left side
+member once per size and family, at z, and ``t_poly`` and ``s_poly``
 relabel it onto A, putting z or w in for z.  The renaming keeps the ring
 in increasing order, and a packed monomial's fields follow the ring's
 order, so every key keeps its value and the term map is shared as it is;
 only the ring changes.  ``identity_sides`` does the same with whole sides:
-``_sides`` builds both over {1..k} once per identity and size, the right
-side adding its 2^k split products into one term map
-(``poly._sum_of_products``).  A right side equal to the left shares its
-map.  Each cached side carries a print template with a slot for each
-variable's name, so ``str`` of a relabelled side decodes and sorts nothing.
+``_sides`` builds both over {1..k} once per identity and size, the left
+side of a convolution multiplied out at z + w and the right side adding
+its 2^k split products into one term map (``poly._sum_of_products``).  A
+right side equal to the left shares its map.  Printing is ``poly``'s: all
+the relabelled copies of one side share the text it builds on the first
+``str`` of any of them.
 The exact right side of a convolution is the top coefficient of a subset
 convolution, summed by a blocked subset transform: the splits of the (at
 most ``_BLOCK``) smallest members of A are laid out as lists indexed by
@@ -80,7 +80,6 @@ from .poly import (
     _renamed,
     _sum_of_products,
     _unchecked_variable,
-    _with_template,
     poly,
     x_var,
     y_var,
@@ -137,10 +136,10 @@ def _symbols(A: IndexSet) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=None)
-def _expand(k: int, family: str, at: SparsePolynomial) -> SparsePolynomial:
-    """The ``family`` member over {1..k} at main variable ``at``, multiplied out."""
+def _expand(k: int, family: str) -> SparsePolynomial:
+    """The ``family`` member over {1..k}, multiplied out."""
     A = IndexSet.first(k)
-    return poly(_product(A, family, at, *_symbols(A)))
+    return poly(_product(A, family, poly(Z), *_symbols(A)))
 
 
 def _relabelled(p: SparsePolynomial, A: IndexSet, zvar: Variable = Z) -> SparsePolynomial:
@@ -160,14 +159,12 @@ def _relabelled(p: SparsePolynomial, A: IndexSet, zvar: Variable = Z) -> SparseP
     return _renamed(p, rename)
 
 
-def _member(
-    A: IndexSet, family: str, at: SparsePolynomial, zvar: Variable = Z
-) -> SparsePolynomial:
-    """The ``family`` member over A at ``at``, with ``zvar``, z or w, put in for z:
+def _member(A: IndexSet, family: str, zvar: Variable) -> SparsePolynomial:
+    """The ``family`` member over A with ``zvar``, z or w, for the main variable:
     the member over {1..|A|}, relabelled."""
     if not isinstance(zvar, Variable) or zvar not in (Z, W):
         raise ValueError(f"zvar must be the Variable Z or W, got {zvar!r}")
-    return _relabelled(_expand(len(A), family, at), A, zvar)
+    return _relabelled(_expand(len(A), family), A, zvar)
 
 
 def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
@@ -180,7 +177,7 @@ def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
     values and the term map is shared (see ``_member``).  ``zvar`` is the
     Variable ``Z`` or ``W``; anything else is refused with a ``ValueError``.
     """
-    return _member(_as_index_set(A), "t", poly(Z), zvar)
+    return _member(_as_index_set(A), "t", zvar)
 
 
 def s_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
@@ -189,7 +186,7 @@ def s_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
     Multiplied out once per size and relabelled onto A, sharing its packed
     term map, as in ``t_poly``.
     """
-    return _member(_as_index_set(A), "s", poly(Z), zvar)
+    return _member(_as_index_set(A), "s", zvar)
 
 
 def _check_identity(identity: str, A: IndexSet) -> None:
@@ -229,10 +226,11 @@ def identity_sides(
 
 @lru_cache(maxsize=None)
 def _sides(identity: str, k: int) -> tuple[SparsePolynomial, SparsePolynomial]:
-    """Both sides of ``identity`` over {1..k}, each carrying its print template.
+    """Both sides of ``identity`` over {1..k}, as summed.
 
-    A right side equal to the left is the left side itself, so the two share
-    one term map and one template; a right side that differs is kept as summed.
+    The left side of a convolution is multiplied out at z + w here, once per
+    size.  A right side equal to the left is the left side itself, so the two
+    share one term map; a right side that differs is kept as summed.
     """
     A = IndexSet.first(k)
     z = poly(Z)
@@ -242,9 +240,8 @@ def _sides(identity: str, k: int) -> tuple[SparsePolynomial, SparsePolynomial]:
     else:
         family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
         pairs = ((expand(left), t_poly(right, zvar=W)) for left, right in partitions_into_two(A))
-        lhs, rhs = _member(A, family, z + poly(W)), _sum_of_products(pairs)
-    lhs = _with_template(lhs)
-    return lhs, lhs if rhs == lhs else _with_template(rhs)
+        lhs, rhs = poly(_product(A, family, z + poly(W), *_symbols(A))), _sum_of_products(pairs)
+    return lhs, lhs if rhs == lhs else rhs
 
 
 def s_value(A: Iterable[int], assignment: ParameterAssignment, at: int) -> int:

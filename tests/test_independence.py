@@ -4,6 +4,10 @@ The recurrence, the specialization of t and the identities all rest on the
 linear forms of ``strehl._forms``.  ``core`` and ``counting`` are the routes
 they are checked against, so neither may import ``poly`` or ``strehl``, even
 inside a function.
+
+Printing is ``poly``'s alone: no other module may name a polynomial's print
+template: no name of theirs holds ``_template``, so the rest of the package
+only relabels and compares polynomials.
 """
 
 import ast
@@ -53,3 +57,43 @@ def test_independent_routes_do_not_import_the_engine(module):
 )
 def test_the_guard_sees_every_import_form(source):
     assert _engine_imports(source)
+
+
+def _template_names(source: str) -> list[str]:
+    """Every name, attribute, import or string in ``source`` that holds ``_template``."""
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.append(node.attr)
+        elif isinstance(node, ast.alias):
+            named += [node.name, node.asname or ""]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named.append(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.append(node.value)
+    return [name for name in named if "_template" in name]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "poly")
+)
+def test_only_poly_names_the_print_template(module):
+    assert _template_names((PACKAGE / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "p._template",
+        "_template = None",
+        "from .poly import _template",
+        "getattr(p, '_template')",
+        "from parkseq.poly import _template_of as build",
+        "from .poly import _with_template",
+        "def f():\n    return poly._template_of(p)\n",
+    ],
+)
+def test_the_template_guard_sees_every_form(source):
+    assert _template_names(source)

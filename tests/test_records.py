@@ -17,6 +17,7 @@ from parkseq import (
     Parked,
     Z,
     count_report,
+    identity_sides,
     poly,
     x_var,
     y_var,
@@ -166,3 +167,13 @@ def test_every_public_value_pickles_and_copies(value, how):
         assert [getattr(copied, f) for f in fields] == [getattr(value, f) for f in fields]
     else:
         assert copied == value
+
+
+@pytest.mark.parametrize("how", COPIES.values(), ids=COPIES)
+def test_a_printed_relabelled_side_copies_with_its_text(how):
+    """A relabelled side shares its print template with the other copies of
+    its size's side; a copy of it made after printing prints the same text."""
+    side = identity_sides("sheffer", (2, 5, 7))[1]
+    text = str(side)
+    copied = how(side)
+    assert copied == side and str(copied) == text
