@@ -284,54 +284,78 @@ def _exact_int_text() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _park_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sizes", type=_csv_ints, required=True, metavar="CSV",
+                   help="car sizes in arrival order; empty string for no cars")
+    p.add_argument("--z", type=int, required=True, help="trailer parameter (z-1 trailer spots)")
+    p.add_argument("--prefs", type=_csv_ints, required=True, metavar="CSV",
+                   help="preferred spots, one per car")
+
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sizes", type=_csv_ints, required=True, metavar="CSV")
+    p.add_argument("--z", type=int, required=True)
+    p.add_argument("--enumerate", action="store_true", dest="do_enumerate",
+                   help="also run the brute-force oracle and compare")
+    p.add_argument("--budget", type=int, default=None,
+                   help="refuse when the oracle's search may walk more row cells"
+                        " (states times m spots) than this"
+                        f" (default {DEFAULT_BUDGET} or $PARKSEQ_BUDGET)")
+    p.add_argument("--force", action="store_true", help="enumerate past the budget")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("suite", choices=SUITES)
+    p.add_argument("--set", type=_csv_ints, default=None, dest="ground", metavar="CSV",
+                   help="check one explicit ground set instead of sweeping")
+    p.add_argument("--n-max", type=int, default=3, dest="n_max")
+    p.add_argument("--y-max", type=int, default=3, dest="y_max")
+    p.add_argument("--z-max", type=int, default=4, dest="z_max")
+    p.add_argument("--random", action="store_true", dest="randomized",
+                   help="force randomized evaluation instead of symbolic expansion")
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--seed", type=int, default=42)
+
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=FAMILIES, default="ones")
+    p.add_argument("--car", type=int, default=2, help="car size for the const family")
+    p.add_argument("--pattern", type=_csv_ints, default=(), metavar="CSV",
+                   help="size pattern, cycled to length n, for the pattern family")
+    p.add_argument("--n-max", type=int, default=8, dest="n_max")
+    p.add_argument("--z-max", type=int, default=4, dest="z_max")
+
+
+# (name, help line, the function that adds the subcommand's own arguments)
+_SUBCOMMANDS = (
+    ("park", "run one parking attempt", _park_arguments),
+    ("count", "count parking sequences", _count_arguments),
+    ("verify", "verify counting identities", _verify_arguments),
+    ("table", "tabulate count families", _table_arguments),
+)
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``, with arguments for the invoked subcommand only.
+
+    The invoked subcommand is the one named by the first token of ``argv``
+    that does not start with ``-``; it gets ``--format`` and then its own
+    arguments.  The others get only their name and help line, which is all
+    that ``parkseq -h`` and an invalid-choice error read, so parsing ``argv``
+    gives what a parser with every subcommand filled in would give.
+    """
+    invoked = next((tok for tok in argv if not tok.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="parkseq",
         description="Parking sequences of variable-size cars behind a trailer:"
         " simulate, count, verify, tabulate.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="plain", dest="fmt")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_park = sub.add_parser("park", parents=[common], help="run one parking attempt")
-    p_park.add_argument("--sizes", type=_csv_ints, required=True, metavar="CSV",
-                        help="car sizes in arrival order; empty string for no cars")
-    p_park.add_argument("--z", type=int, required=True, help="trailer parameter (z-1 trailer spots)")
-    p_park.add_argument("--prefs", type=_csv_ints, required=True, metavar="CSV",
-                        help="preferred spots, one per car")
-
-    p_count = sub.add_parser("count", parents=[common], help="count parking sequences")
-    p_count.add_argument("--sizes", type=_csv_ints, required=True, metavar="CSV")
-    p_count.add_argument("--z", type=int, required=True)
-    p_count.add_argument("--enumerate", action="store_true", dest="do_enumerate",
-                         help="also run the brute-force oracle and compare")
-    p_count.add_argument("--budget", type=int, default=None,
-                         help="refuse when the oracle's search may walk more row cells"
-                              " (states times m spots) than this"
-                              f" (default {DEFAULT_BUDGET} or $PARKSEQ_BUDGET)")
-    p_count.add_argument("--force", action="store_true", help="enumerate past the budget")
-
-    p_verify = sub.add_parser("verify", parents=[common], help="verify counting identities")
-    p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--set", type=_csv_ints, default=None, dest="ground", metavar="CSV",
-                          help="check one explicit ground set instead of sweeping")
-    p_verify.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p_verify.add_argument("--y-max", type=int, default=3, dest="y_max")
-    p_verify.add_argument("--z-max", type=int, default=4, dest="z_max")
-    p_verify.add_argument("--random", action="store_true", dest="randomized",
-                          help="force randomized evaluation instead of symbolic expansion")
-    p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--seed", type=int, default=42)
-
-    p_table = sub.add_parser("table", parents=[common], help="tabulate count families")
-    p_table.add_argument("--family", choices=FAMILIES, default="ones")
-    p_table.add_argument("--car", type=int, default=2,
-                         help="car size for the const family")
-    p_table.add_argument("--pattern", type=_csv_ints, default=(), metavar="CSV",
-                         help="size pattern, cycled to length n, for the pattern family")
-    p_table.add_argument("--n-max", type=int, default=8, dest="n_max")
-    p_table.add_argument("--z-max", type=int, default=4, dest="z_max")
+    for name, help_line, add_arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if name == invoked:
+            p.add_argument("--format", choices=FORMATS, default="plain", dest="fmt")
+            add_arguments(p)
     return parser
 
 
@@ -354,8 +378,10 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse already reported the problem
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

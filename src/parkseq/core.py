@@ -14,13 +14,12 @@ occupancy row; tests hold it to `simulate_parking`.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
+from collections.abc import Sequence
 from math import log10
-from typing import NamedTuple, Optional, Sequence, Union
 
 TRAILER = 0
-Cell = Optional[int]  # None = empty, TRAILER = trailer block, i >= 1 = car i
-
-SizesLike = Union["CarSizeVector", Sequence[int]]
+Cell = int | None  # None = empty, TRAILER = trailer block, i >= 1 = car i
 
 
 class CarSizeVector(tuple):
@@ -51,10 +50,13 @@ class CarSizeVector(tuple):
         return sum(self)
 
 
-class LotLayout(NamedTuple):
+SizesLike = CarSizeVector | Sequence[int]
+
+
+class LotLayout(namedtuple("_LotLayout", "cells")):
     """Cell contents of the lot, one entry per spot (spot k is ``cells[k-1]``)."""
 
-    cells: tuple[Cell, ...]
+    __slots__ = ()
 
     def spot(self, k: int) -> Cell:
         """Content of 1-based spot ``k``; a ``bool`` or any other non-int is refused."""
@@ -76,29 +78,26 @@ def _cell_token(cell: Cell) -> str:
     return f"C{cell}"
 
 
-class Parked(NamedTuple):
+class Parked(namedtuple("_Parked", "layout")):
     """Every car parked; carries the final layout."""
 
-    layout: LotLayout
+    __slots__ = ()
 
 
-class Collision(NamedTuple):
+class Collision(namedtuple("_Collision", "car first_empty blocked_at")):
     """The first empty spot was free but the car's block ran into an occupied spot."""
 
-    car: int
-    first_empty: int
-    blocked_at: int
+    __slots__ = ()
 
 
-class Overflow(NamedTuple):
+class Overflow(namedtuple("_Overflow", "car first_empty")):
     """The car's block would leave the lot, or no empty spot remains at or
     after its preference (``first_empty`` is None in that case)."""
 
-    car: int
-    first_empty: int | None
+    __slots__ = ()
 
 
-ParkingOutcome = Union[Parked, Collision, Overflow]
+ParkingOutcome = Parked | Collision | Overflow
 
 
 def as_car_sizes(value: SizesLike) -> CarSizeVector:

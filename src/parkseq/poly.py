@@ -31,11 +31,12 @@ with ``_printed_order`` the one sort.  A polynomial's ``_template`` is
 ``None`` or a one-element list, the cell, that ``_renamed`` puts on its
 source and shares with every copy: an order-keeping renaming keeps every
 key and its printed place, so the first ``str`` of any copy fills the cell
-for all of them.  One encoder, ``_packed``, packs monomials, for the two
-constructors; one decoder, ``_Pieces``, unpacks them, for ``terms`` and
-``_template_of``, and through ``terms`` for ``evaluate`` and
-``substitute``, which both fold the decoded terms in ``_folded``.  There is
-no floating point anywhere in this module.
+for all of them.  A first ``str`` puts a cell on a polynomial that has
+none, so a repeat ``str`` is one ``format``.  One encoder, ``_packed``,
+packs monomials, for the two constructors; one decoder, ``_Pieces``,
+unpacks them, for ``terms`` and ``_template_of``, and through ``terms``
+for ``evaluate`` and ``substitute``, which both fold the decoded terms in
+``_folded``.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from math import prod
 from operator import or_
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping
 
 _FAM_Z = 0
 _FAM_W = 1
@@ -451,7 +452,9 @@ class SparsePolynomial:
         return poly(_folded(self, {v: images.get(v, poly(v)) for v in self._ring}))
 
     def __str__(self) -> str:
-        cell = self._template or [None]
+        if self._template is None:  # a later ``_renamed`` copy shares this cell
+            self._template = [None]
+        cell = self._template
         if cell[0] is None:
             cell[0] = _template_of(self)
         return cell[0].format(*map(str, self._ring))
@@ -462,7 +465,7 @@ class SparsePolynomial:
 
 _ZERO = SparsePolynomial._raw((), _BITS, {})
 
-PolyLike = Union[SparsePolynomial, Variable, int]
+PolyLike = SparsePolynomial | Variable | int
 
 
 def _sum_of_products(

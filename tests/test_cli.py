@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, formats, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -8,8 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import parkseq
+from parkseq import cli
 from parkseq.cli import main
 from parkseq.counting import count_by_formula
 from parkseq.strehl import identity_value_sides
@@ -545,3 +549,135 @@ def test_import_loads_no_process_machinery():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+_build_parser = cli._build_parser  # kept here, since the test below patches the module's
+
+
+def _eager_parser(argv):
+    """The parser with every subcommand filled in, from the same table."""
+    parser = _build_parser([])  # fills in no subcommand
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, _, add_arguments in cli._SUBCOMMANDS:
+        p = subparsers.choices[name]
+        p.add_argument("--format", choices=cli.FORMATS, default="plain", dest="fmt")
+        add_arguments(p)
+    return parser
+
+
+ARGV_TOKENS = [
+    "park", "count", "verify", "table", "bogus",
+    "--sizes", "--z", "--prefs", "--enumerate", "--budget", "--force", "--set", "--n-max",
+    "--y-max", "--z-max", "--random", "--trials", "--seed", "--family", "--car", "--pattern",
+    "--siz", "-h", "--", "--format", "1,2", "x", "-1",
+]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_the_lazy_parser_answers_as_the_eager_one(capsys, argv):
+    """Filling in only the invoked subcommand changes no exit code and no byte
+    of stdout or stderr."""
+    lazy = run_cli(capsys, *argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_build_parser", _eager_parser)
+        eager = run_cli(capsys, *argv)
+    assert lazy == eager
+
+
+def test_main_without_argv_reads_the_command_line(capsys, monkeypatch):
+    argv = ["table", "--n-max", "1", "--z-max", "2", "--format", "tsv"]
+    monkeypatch.setattr(sys, "argv", ["parkseq", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == ("n\tz\tcount\n0\t1\t1\n0\t2\t1\n1\t1\t1\n1\t2\t2\n", "")
+
+
+HELP = {
+    "parkseq": """\
+usage: parkseq [-h] {park,count,verify,table} ...
+
+Parking sequences of variable-size cars behind a trailer: simulate, count,
+verify, tabulate.
+
+positional arguments:
+  {park,count,verify,table}
+    park                run one parking attempt
+    count               count parking sequences
+    verify              verify counting identities
+    table               tabulate count families
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "park": """\
+usage: parkseq park [-h] [--format {plain,json,tsv}] --sizes CSV --z Z --prefs
+                    CSV
+
+options:
+  -h, --help            show this help message and exit
+  --format {plain,json,tsv}
+  --sizes CSV           car sizes in arrival order; empty string for no cars
+  --z Z                 trailer parameter (z-1 trailer spots)
+  --prefs CSV           preferred spots, one per car
+""",
+    "count": """\
+usage: parkseq count [-h] [--format {plain,json,tsv}] --sizes CSV --z Z
+                     [--enumerate] [--budget BUDGET] [--force]
+
+options:
+  -h, --help            show this help message and exit
+  --format {plain,json,tsv}
+  --sizes CSV
+  --z Z
+  --enumerate           also run the brute-force oracle and compare
+  --budget BUDGET       refuse when the oracle's search may walk more row
+                        cells (states times m spots) than this (default
+                        4000000 or $PARKSEQ_BUDGET)
+  --force               enumerate past the budget
+""",
+    "verify": """\
+usage: parkseq verify [-h] [--format {plain,json,tsv}] [--set CSV]
+                      [--n-max N_MAX] [--y-max Y_MAX] [--z-max Z_MAX]
+                      [--random] [--trials TRIALS] [--seed SEED]
+                      {recurrence,easy,sheffer,binomial,specialization,all}
+
+positional arguments:
+  {recurrence,easy,sheffer,binomial,specialization,all}
+
+options:
+  -h, --help            show this help message and exit
+  --format {plain,json,tsv}
+  --set CSV             check one explicit ground set instead of sweeping
+  --n-max N_MAX
+  --y-max Y_MAX
+  --z-max Z_MAX
+  --random              force randomized evaluation instead of symbolic
+                        expansion
+  --trials TRIALS
+  --seed SEED
+""",
+    "table": """\
+usage: parkseq table [-h] [--format {plain,json,tsv}]
+                     [--family {ones,const,pattern}] [--car CAR]
+                     [--pattern CSV] [--n-max N_MAX] [--z-max Z_MAX]
+
+options:
+  -h, --help            show this help message and exit
+  --format {plain,json,tsv}
+  --family {ones,const,pattern}
+  --car CAR             car size for the const family
+  --pattern CSV         size pattern, cycled to length n, for the pattern
+                        family
+  --n-max N_MAX
+  --z-max Z_MAX
+""",
+}
+
+
+@pytest.mark.parametrize("command, text", HELP.items(), ids=HELP)
+def test_help_text_is_pinned(capsys, monkeypatch, command, text):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    argv = ["-h"] if command == "parkseq" else [command, "-h"]
+    assert run_cli(capsys, *argv) == (0, text, "")

@@ -1,20 +1,36 @@
-"""Starting the CLI loads no module that only some subcommands need.
+"""Starting the CLI loads no module, builds no class and adds no argument
+that only some subcommands need.
 
 Every ``parkseq`` call pays for ``import parkseq.cli``.  ``dataclasses``
 drags in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``);
 ``hashlib`` loads OpenSSL and ``json`` its encoder, though only symbolic
-digest cells and ``--format json`` use them.  This checks which modules are
-loaded, not how long loading takes.
+digest cells and ``--format json`` use them.  A ``typing.NamedTuple`` class
+costs about twice a ``collections.namedtuple`` subclass to create, and
+``typing.Union`` and ``typing.Optional`` build alias objects where a ``|``
+union is one builtin call.  The parser fills in only the invoked
+subcommand.  These check which modules are loaded, which names the package
+uses and which options a call adds, not how long any of it takes.
 """
 
+import argparse
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import parkseq
+from parkseq.cli import main
 
 SRC = Path(parkseq.__file__).resolve().parent.parent
 HEAVY = ("dataclasses", "inspect", "hashlib", "json")
+SLOW_TYPING = {"NamedTuple", "Optional", "Union"}
+# options that count, verify or table define and park does not
+NOT_PARK = {
+    "--enumerate", "--budget", "--force", "suite", "--set", "--n-max", "--y-max", "--z-max",
+    "--random", "--trials", "--seed", "--family", "--car", "--pattern",
+}
 
 
 def test_importing_the_cli_skips_heavy_modules():
@@ -29,3 +45,50 @@ def test_importing_the_cli_skips_heavy_modules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every plain name, attribute and imported name in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "parkseq").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_the_slow_typing_constructs(path):
+    assert _names(ast.parse(path.read_text())) & SLOW_TYPING == set()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from typing import NamedTuple\n",
+        "import typing\nclass P(typing.NamedTuple):\n    a: int\n",
+        "from typing import Optional as O\n",
+        "Cell = typing.Union[int, None]\n",
+    ],
+)
+def test_the_name_scan_sees_each_construct(source):
+    assert _names(ast.parse(source)) & SLOW_TYPING
+
+
+def test_park_adds_only_its_own_arguments(monkeypatch, capsys):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recorded(self, *names, **kwargs):
+        added.extend(names)
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
+    code = main(["park", "--sizes", "1,2", "--z", "1", "--prefs", "3,3"])
+    assert (code, capsys.readouterr().out) == (1, "overflow: car 2 found no empty spot"
+                                                  " at or after its preference\n")
+    assert {"--format", "--sizes", "--z", "--prefs"} <= set(added)
+    assert set(added) & NOT_PARK == set()

@@ -1,5 +1,6 @@
 """Sparse polynomial engine: canonical form, ring laws, substitution, evaluation."""
 
+import importlib
 import operator
 import random
 import re
@@ -345,6 +346,28 @@ def _literal_render(terms):
 def test_rendering_matches_a_literal_renderer(a, b):
     for p in (a, b, a * b, a - b):
         assert str(p) == _literal_render(p.terms)
+
+
+def test_a_repeat_str_of_an_unrelabelled_product_reuses_its_template(monkeypatch):
+    """The first ``str`` of a polynomial with no template cell puts one on it,
+    which a later relabelled copy shares."""
+    poly_module = importlib.import_module("parkseq.poly")
+    builds = []
+    build = poly_module._template_of
+
+    def counted(p):
+        builds.append(p)
+        return build(p)
+
+    monkeypatch.setattr(poly_module, "_template_of", counted)
+    p = (poly(Z) + y_var(2)) * (poly(x_var(1, 2)) - 3)
+    text = "-3*z + z*x1_2 - 3*y2 + y2*x1_2"
+    assert [str(p), str(p)] == [text, text]
+    assert len(builds) == 1
+    relabel = {Z: Z, y_var(2): y_var(3), x_var(1, 2): x_var(1, 3)}
+    copy = poly_module._renamed(p, relabel.__getitem__)  # shares the filled cell
+    assert str(copy) == "-3*z + z*x1_3 - 3*y3 + y3*x1_3"
+    assert len(builds) == 1
 
 
 class TestVariableContract:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from typing import get_args
 
 import pytest
 
@@ -15,10 +16,12 @@ from parkseq import (
     Overflow,
     ParameterAssignment,
     Parked,
+    ParkingOutcome,
     Z,
     count_report,
     identity_sides,
     poly,
+    simulate_parking,
     x_var,
     y_var,
 )
@@ -177,3 +180,31 @@ def test_a_printed_relabelled_side_copies_with_its_text(how):
     text = str(side)
     copied = how(side)
     assert copied == side and str(copied) == text
+
+
+OUTCOMES = {
+    "parked": (((1, 2), 1, (1, 2)), Parked),
+    "collision": (((1, 2), 1, (2, 1)), Collision),
+    "overflow": (((2, 1), 1, (3, 1)), Overflow),
+}
+
+
+@pytest.mark.parametrize("attempt, kind", OUTCOMES.values(), ids=OUTCOMES)
+def test_every_outcome_is_a_parking_outcome(attempt, kind):
+    outcome = simulate_parking(*attempt)
+    assert type(outcome) is kind
+    assert isinstance(outcome, ParkingOutcome)
+
+
+def test_parking_outcome_is_the_union_of_the_three_records():
+    assert get_args(ParkingOutcome) == (Parked, Collision, Overflow)
+    assert not isinstance(LotLayout((1,)), ParkingOutcome)
+
+
+def test_record_fields_are_pinned():
+    assert {cls.__name__: cls._fields for cls in (LotLayout, Parked, Collision, Overflow)} == {
+        "LotLayout": ("cells",),
+        "Parked": ("layout",),
+        "Collision": ("car", "first_empty", "blocked_at"),
+        "Overflow": ("car", "first_empty"),
+    }
