@@ -326,12 +326,12 @@ def _table_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--z-max", type=int, default=4, dest="z_max")
 
 
-# (name, help line, the function that adds the subcommand's own arguments)
+# (name, help line, the function that adds the subcommand's own arguments, the command)
 _SUBCOMMANDS = (
-    ("park", "run one parking attempt", _park_arguments),
-    ("count", "count parking sequences", _count_arguments),
-    ("verify", "verify counting identities", _verify_arguments),
-    ("table", "tabulate count families", _table_arguments),
+    ("park", "run one parking attempt", _park_arguments, cmd_park),
+    ("count", "count parking sequences", _count_arguments, cmd_count),
+    ("verify", "verify counting identities", _verify_arguments, cmd_verify),
+    ("table", "tabulate count families", _table_arguments, cmd_table),
 )
 
 
@@ -340,9 +340,10 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
     The invoked subcommand is the one named by the first token of ``argv``
     that does not start with ``-``; it gets ``--format`` and then its own
-    arguments.  The others get only their name and help line, which is all
-    that ``parkseq -h`` and an invalid-choice error read, so parsing ``argv``
-    gives what a parser with every subcommand filled in would give.
+    arguments.  The others get only their name, help line and command (the
+    ``command`` default that ``main`` calls), which is all that ``parkseq -h``
+    and an invalid-choice error read, so parsing ``argv`` gives what a parser
+    with every subcommand filled in would give.
     """
     invoked = next((tok for tok in argv if not tok.startswith("-")), None)
     parser = argparse.ArgumentParser(
@@ -351,8 +352,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         " simulate, count, verify, tabulate.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_line, add_arguments in _SUBCOMMANDS:
+    for name, help_line, add_arguments, command in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_line)
+        p.set_defaults(command=command)
         if name == invoked:
             p.add_argument("--format", choices=FORMATS, default="plain", dest="fmt")
             add_arguments(p)
@@ -369,14 +371,6 @@ def _default_budget() -> int:
         raise ValueError(f"PARKSEQ_BUDGET must be an integer, got {raw!r}")
 
 
-_DISPATCH = {
-    "park": cmd_park,
-    "count": cmd_count,
-    "verify": cmd_verify,
-    "table": cmd_table,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -386,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         with _exact_int_text():
-            return _DISPATCH[args.subcommand](args)
+            return args.command(args)
     except EnumerationBudgetError as exc:
         print(
             f"error: {exc}; raise it with --budget N or PARKSEQ_BUDGET=N,"

@@ -22,6 +22,11 @@ TRAILER = 0
 Cell = int | None  # None = empty, TRAILER = trailer block, i >= 1 = car i
 
 
+def _is_int(value: object) -> bool:
+    """The package's one integer rule: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class CarSizeVector(tuple):
     """Ordered car lengths, one positive integer per arriving car, as a tuple."""
 
@@ -30,7 +35,7 @@ class CarSizeVector(tuple):
     def __new__(cls, sizes: Sequence[int] = ()) -> "CarSizeVector":
         t = tuple(sizes)
         for y in t:
-            if not isinstance(y, int) or isinstance(y, bool) or y < 1:
+            if not _is_int(y) or y < 1:
                 raise ValueError(f"car sizes must be integers >= 1, got {y!r}")
         return super().__new__(cls, t)
 
@@ -60,7 +65,7 @@ class LotLayout(namedtuple("_LotLayout", "cells")):
 
     def spot(self, k: int) -> Cell:
         """Content of 1-based spot ``k``; a ``bool`` or any other non-int is refused."""
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not _is_int(k):
             raise TypeError(f"spot number must be an integer, got {k!r}")
         if not 1 <= k <= len(self.cells):
             raise IndexError(f"spot {k} outside lot 1..{len(self.cells)}")
@@ -106,7 +111,7 @@ def as_car_sizes(value: SizesLike) -> CarSizeVector:
 
 def _check_z(z: int) -> None:
     """The one check of the trailer parameter, shared by every entry point."""
-    if not isinstance(z, int) or isinstance(z, bool) or z < 1:
+    if not _is_int(z) or z < 1:
         raise ValueError(f"trailer parameter z must be an integer >= 1, got {z!r}")
 
 
@@ -116,6 +121,15 @@ def _decimal(v: int) -> str:
         return str(v)
     d = int((v.bit_length() - 1) * log10(2)) + 1  # v has d or d + 1 digits
     return f"[{d + (v >= 10**d)} digits]"
+
+
+def _check_lot(m: int, verb: str) -> None:
+    """Refuse to ``verb`` a lot of more than ``sys.maxsize`` spots, which no row can index."""
+    if m > sys.maxsize:
+        raise ValueError(
+            f"a lot of {_decimal(m)} spots is too long to {verb}"
+            f" (a row holds at most {sys.maxsize} spots)"
+        )
 
 
 def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingOutcome:
@@ -133,7 +147,7 @@ def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingO
     _check_z(z)
     prefs = tuple(prefs)
     for c in prefs:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+        if not _is_int(c) or c < 1:
             raise ValueError(f"preferred spots must be integers >= 1, got {c!r}")
     if len(prefs) != cars.n:
         raise ValueError(f"{len(prefs)} preferences given for {cars.n} cars")
@@ -141,11 +155,7 @@ def simulate_parking(sizes: SizesLike, z: int, prefs: Sequence[int]) -> ParkingO
     for i, c in enumerate(prefs, start=1):
         if c > m:
             raise ValueError(f"car {i} prefers spot {c} but the lot ends at spot {m}")
-    if m > sys.maxsize:
-        raise ValueError(
-            f"a lot of {_decimal(m)} spots is too long to simulate"
-            f" (a row holds at most {sys.maxsize} spots)"
-        )
+    _check_lot(m, "simulate")
 
     cells: list[Cell] = [None] * (m + 1)  # 1-based; cells[0] unused
     for k in range(1, z):

@@ -8,12 +8,11 @@ product grows too fast for anything else.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from math import comb
 from typing import Iterable, Iterator
 
-from .core import SizesLike, _check_z, _decimal, as_car_sizes
+from .core import SizesLike, _check_lot, _check_z, _decimal, _is_int, as_car_sizes
 
 DEFAULT_BUDGET = 4 * 10**6
 PARTITION_LIMIT = 30
@@ -55,7 +54,7 @@ class IndexSet(tuple):
     def __new__(cls, elems: Iterable[int] = ()) -> "IndexSet":
         t = tuple(elems)
         for e in t:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+            if not _is_int(e) or e < 1:
                 raise ValueError(f"index sets hold integers >= 1, got {e!r}")
         for a, b in zip(t, t[1:]):
             if a >= b:
@@ -252,7 +251,7 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
 
 def _check_budget(budget: object) -> None:
     """Refuse an enumeration budget that is not an ``int`` >= 1; a ``bool`` is no budget."""
-    if not isinstance(budget, int) or isinstance(budget, bool):
+    if not _is_int(budget):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -277,11 +276,7 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
     _check_z(z)
     m = z - 1 + cars.total
     n = cars.n
-    if m > sys.maxsize:
-        raise ValueError(
-            f"a lot of {_decimal(m)} spots is too long to enumerate"
-            f" (a row holds at most {sys.maxsize} spots)"
-        )
+    _check_lot(m, "enumerate")
     if budget is not None:
         _check_budget(budget)
         states = _state_bound(cars.sizes)

@@ -18,24 +18,24 @@ each field's top bit clear, so the sum of two exponents never carries into
 the next field.  Operands over different rings or widths are first laid out
 over the union of their rings, at the widest width, by moving whole runs of
 adjacent fields.  Every product, alone or in a sum, goes through one kernel,
-``_sum_of_products``, and ``_trimmed`` alone re-packs a result after ``+``
-or ``*``.  The representation is canonical: no zero coefficient is stored,
-the ring holds exactly the variables some term uses (cancellation drops the
-others) and the width is the narrowest that fits, so equality of
-polynomials is equality of ring, width and term map.  ``str`` lists the
-terms in increasing order of their (variable, exponent) tuples, and
-``terms`` is the map keyed by those tuples.  ``str`` fills in a print
+``_sum_of_products``, and ``_trimmed`` alone decides whether a result of
+``+`` or ``*`` must be re-packed.  The representation is canonical: no zero
+coefficient is stored, the ring holds exactly the variables some term uses
+(cancellation drops the others) and the width is the narrowest that fits,
+so equality of polynomials is equality of ring, width and term map.  ``str``
+lists the terms in increasing order of their (variable, exponent) tuples,
+and ``terms`` is the map keyed by those tuples.  ``str`` fills in a print
 template, the text with ``{i}`` for the name of the i-th ring variable, by
 one ``format`` over the ring's names.  ``_template_of`` alone builds it,
-with ``_printed_order`` the one sort.  A polynomial's ``_template`` is
-``None`` or a one-element list, the cell, that ``_renamed`` puts on its
-source and shares with every copy: an order-keeping renaming keeps every
-key and its printed place, so the first ``str`` of any copy fills the cell
-for all of them.  A first ``str`` puts a cell on a polynomial that has
-none, so a repeat ``str`` is one ``format``.  One encoder, ``_packed``,
-packs monomials, for the two constructors; one decoder, ``_Pieces``,
-unpacks them, for ``terms`` and ``_template_of``, and through ``terms``
-for ``evaluate`` and ``substitute``, which both fold the decoded terms in
+with ``_printed_order`` the one sort.  Every polynomial's ``_template`` is
+a one-element list, the cell, its own unless ``_renamed`` hands it its
+source's: an order-keeping renaming keeps every key and its printed place,
+so the first ``str`` of a source or any copy fills the cell for all of
+them, and a repeat ``str`` is one ``format``.  One encoder, ``_packed``,
+packs monomials, for the two constructors and ``_trimmed``; one decoder,
+``_decoded`` over the memoized pieces of ``_Pieces``, unpacks them, for
+``terms``, ``_template_of`` and ``_trimmed``, and through ``terms`` for
+``evaluate`` and ``substitute``, which both fold the decoded terms in
 ``_folded``.  There is no floating point anywhere in this module.
 """
 
@@ -49,6 +49,8 @@ from math import prod
 from operator import or_
 from typing import Callable, Iterable, Mapping
 
+from .core import _is_int
+
 _FAM_Z = 0
 _FAM_W = 1
 _FAM_Y = 2
@@ -57,10 +59,6 @@ _FAM_X = 3
 _BITS = 8  # the narrowest field width; wider exponents double it as often as needed
 _LEAF = 4  # fields that ``terms`` and ``str`` decode together, once per value
 _DECODERS = 4  # decode memos kept, one per recent (ring, width)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Variable(namedtuple("_Variable", "family a b", defaults=(0, 0))):
@@ -149,7 +147,7 @@ def monomial(powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) ->
     for v, e in items:
         if not isinstance(v, Variable):
             raise ValueError(f"monomial keys must be Variables, got {v!r}")
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+        if not _is_int(e) or e < 0:
             raise ValueError(f"exponent of {v} must be an integer >= 0, got {e!r}")
         merged[v] = merged.get(v, 0) + e
     return tuple(sorted((v, e) for v, e in merged.items() if e))
@@ -163,7 +161,7 @@ def _canonical_terms(entries: Iterable[tuple[object, int]]) -> dict[Monomial, in
     """
     out: dict[Monomial, int] = {}
     for powers, coeff in entries:
-        if not isinstance(coeff, int) or isinstance(coeff, bool):
+        if not _is_int(coeff):
             raise ValueError(f"coefficients must be integers, got {coeff!r}")
         mono = monomial(powers)
         merged = out.get(mono, 0) + coeff
@@ -240,24 +238,19 @@ def _laid_out(p: "SparsePolynomial", ring: Ring, bits: int) -> dict[int, int]:
 def _trimmed(ring: Ring, bits: int, terms: dict[int, int]) -> "SparsePolynomial":
     """The canonical polynomial of a term map of nonzero coefficients after ``+`` or ``*``.
 
-    This is the one place a result is re-packed.  A field that is zero in
-    every term is dropped, and every other field is taken out and put back
-    in its new place, at the width its exponents need: narrower after a
-    cancellation, or wider when a product's exponent sets a field's top bit.
+    A result that uses every field, at a width that still fits its largest
+    exponent, is kept as it is.  Any other is decoded and packed again by
+    ``_packed``, which drops each field that is zero in every term and sets
+    the width the exponents need: narrower after a cancellation, or wider
+    when a product's exponent sets a field's top bit.  It decodes with
+    ``_halves``, not ``_decoder``, so that it evicts no ``_decoder`` memo.
     """
     used = reduce(or_, terms, 0)  # each field as long as the field's largest exponent
     mask = (1 << bits) - 1
-    fields = [used >> bits * i & mask for i in range(len(ring))]  # the lowest field first
-    width = _width(max(fields, default=0))
-    if all(fields) and width == bits:
+    fields = [used >> bits * i & mask for i in range(len(ring))]
+    if all(fields) and _width(max(fields, default=0)) == bits:
         return SparsePolynomial._raw(ring, bits, terms)
-    kept = [i for i, field in enumerate(fields) if field]
-    moves = [(bits * i, width * j) for j, i in enumerate(kept)]
-    return SparsePolynomial._raw(
-        tuple(ring[-1 - i] for i in reversed(kept)),
-        width,
-        {sum((k >> at & mask) << to for at, to in moves): c for k, c in terms.items()},
-    )
+    return SparsePolynomial._raw(*_packed(_decoded(terms.items(), _halves(ring, bits, tuple))))
 
 
 class _Pieces(dict):
@@ -288,12 +281,20 @@ class _Pieces(dict):
 
 
 def _halves(ring: tuple, bits: int, build: Callable) -> tuple[_Pieces, int, int, _Pieces]:
-    """``(high, shift, mask, low)``: the pieces of a packed monomial over ``ring`` are
-    ``high[key >> shift] + low[key & mask]``."""
+    """``(high, shift, mask, low)``: the pieces of the high fields of a packed monomial
+    over ``ring`` (``key >> shift``) and of its low ones (``key & mask``), which
+    ``_decoded`` joins."""
     half = len(ring) // 2
     shift = bits * (len(ring) - half)
     high, low = _Pieces(ring[:half], bits, build), _Pieces(ring[half:], bits, build)
     return high, shift, (1 << shift) - 1, low
+
+
+def _decoded(pairs: Iterable[tuple[int, int]], pieces: tuple[_Pieces, int, int, _Pieces]) -> dict:
+    """``{piece of k: value}`` for each (packed key k, value) pair, the pieces
+    ``(high, shift, mask, low)`` from ``_halves`` or ``_decoder``."""
+    high, shift, mask, low = pieces
+    return {high[k >> shift] + low[k & mask]: c for k, c in pairs}
 
 
 # ``terms`` keeps the memos it built last in one LRU, so a second call (the other
@@ -314,15 +315,17 @@ class SparsePolynomial:
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         self._ring, self._bits, self._terms = _packed(_canonical_terms((terms or {}).items()))
-        self._template = None
+        self._template = [None]
 
     @classmethod
     def _raw(
         cls, ring: Ring, bits: int, terms: dict[int, int], template: list | None = None
     ) -> "SparsePolynomial":
-        # internal fast path: ring, width, terms and any template cell (see ``_renamed``) ready
+        """Internal fast path: ring, width and terms ready.  The polynomial gets a new
+        template cell unless it is handed one (see ``_renamed``); none is shared by default."""
         p = cls.__new__(cls)
-        p._ring, p._bits, p._terms, p._template = ring, bits, terms, template
+        p._ring, p._bits, p._terms = ring, bits, terms
+        p._template = [None] if template is None else template
         return p
 
     @classmethod
@@ -335,8 +338,7 @@ class SparsePolynomial:
     @property
     def terms(self) -> dict[Monomial, int]:
         """The canonical term map, keyed by (variable, exponent) tuples; a fresh dict."""
-        high, shift, mask, low = _decoder(self._ring, self._bits, tuple)
-        return {high[k >> shift] + low[k & mask]: c for k, c in self._terms.items()}
+        return _decoded(self._terms.items(), _decoder(self._ring, self._bits, tuple))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -398,7 +400,7 @@ class SparsePolynomial:
         return q + (-self)
 
     def __mul__(self, other: "PolyLike") -> "SparsePolynomial":
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             if other == 0:
                 return _ZERO
             return SparsePolynomial._raw(
@@ -412,7 +414,7 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "SparsePolynomial":
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise ValueError(f"exponent must be an integer >= 0, got {exponent!r}")
         result = poly(1)
         base = self
@@ -452,8 +454,6 @@ class SparsePolynomial:
         return poly(_folded(self, {v: images.get(v, poly(v)) for v in self._ring}))
 
     def __str__(self) -> str:
-        if self._template is None:  # a later ``_renamed`` copy shares this cell
-            self._template = [None]
         cell = self._template
         if cell[0] is None:
             cell[0] = _template_of(self)
@@ -510,12 +510,10 @@ def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> Spa
 
     The renaming must keep the ring in increasing order.  Then every field
     stays in its place, so the packed term map is shared as it is and only
-    the ring changes.  Every term keeps its printed place too, so ``p`` and
-    all its copies share one template cell, put on ``p`` here if it has
-    none, and the first ``str`` of any of them fills it for the rest.
+    the ring changes.  Every term keeps its printed place too, so the copy
+    gets ``p``'s template cell, and the first ``str`` of ``p`` or of any of
+    its copies fills it for the rest.
     """
-    if p._template is None:
-        p._template = [None]
     return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms, p._template)
 
 
@@ -550,10 +548,10 @@ def _template_of(p: SparsePolynomial) -> str:
     name left out must hold none.
     """
     slots = tuple(f"{{{i}}}" for i in range(len(p._ring)))
-    high, shift, mask, low = _halves(slots, p._bits, _factor_text)
     terms, parts = p._terms, []
-    for k in _printed_order(p):
-        coeff, factors = terms[k], high[k >> shift] + low[k & mask]  # "*{0}*{2}^2", or ""
+    pieces = _halves(slots, p._bits, _factor_text)
+    printed = _decoded(((k, terms[k]) for k in _printed_order(p)), pieces)
+    for factors, coeff in printed.items():  # factors: "*{0}*{2}^2", or ""
         sign = " - " if coeff < 0 else " + "
         unit = factors and abs(coeff) == 1  # then the coefficient is left out
         parts.append(sign + factors[1:] if unit else f"{sign}{abs(coeff)}{factors}")
@@ -569,7 +567,7 @@ def _coerce(value: object) -> SparsePolynomial | None:
         return value
     if isinstance(value, Variable):
         return SparsePolynomial._raw((value,), _BITS, {1: 1})
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return SparsePolynomial._raw((), _BITS, {0: value}) if value else _ZERO
     return None
 
@@ -584,7 +582,7 @@ def poly(value: PolyLike) -> SparsePolynomial:
 
 def _check_integer(value: object, name: object, key: object = None) -> None:
     """Refuse a value that is not an ``int``, or is a ``bool``, naming where it sat."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         where = name if key is None else f"{name}[{key!r}]"
         raise ValueError(f"{where} must be an integer, got {value!r}")
 

@@ -61,7 +61,7 @@ from itertools import combinations
 from operator import add, mul
 from typing import Iterable, Iterator, Literal, Mapping
 
-from .core import SizesLike, _check_z, as_car_sizes
+from .core import SizesLike, _check_z, _is_int, as_car_sizes
 from .counting import (
     CountReport,
     IndexSet,
@@ -464,7 +464,7 @@ def verify_recurrence(sizes: SizesLike, next_size: int, z: int) -> CountReport:
     """
     cars = as_car_sizes(sizes)
     _check_z(z)
-    if not isinstance(next_size, int) or isinstance(next_size, bool) or next_size < 1:
+    if not _is_int(next_size) or next_size < 1:
         raise ValueError(f"next car size must be an integer >= 1, got {next_size!r}")
     _check_partition_count(cars.n)
     A, y, x = _parking_point(cars.sizes)

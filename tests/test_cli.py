@@ -558,7 +558,7 @@ def _eager_parser(argv):
     """The parser with every subcommand filled in, from the same table."""
     parser = _build_parser([])  # fills in no subcommand
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, _, add_arguments in cli._SUBCOMMANDS:
+    for name, _, add_arguments, _ in cli._SUBCOMMANDS:
         p = subparsers.choices[name]
         p.add_argument("--format", choices=cli.FORMATS, default="plain", dest="fmt")
         add_arguments(p)

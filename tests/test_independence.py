@@ -8,6 +8,10 @@ inside a function.
 Printing is ``poly``'s alone: no other module may name a polynomial's print
 template: no name of theirs holds ``_template``, so the rest of the package
 only relabels and compares polynomials.
+
+Every check of an integer input goes through ``core._is_int``, which refuses
+``bool``: no other function tests for ``bool`` but ``cli._cell``, which
+formats one.
 """
 
 import ast
@@ -97,3 +101,50 @@ def test_only_poly_names_the_print_template(module):
 )
 def test_the_template_guard_sees_every_form(source):
     assert _template_names(source)
+
+
+# the only functions that may test for ``bool``, by module
+BOOL_TESTS = {"core": ["_is_int"], "cli": ["_cell"]}
+
+
+def _bool_tests(source: str) -> list[str | None]:
+    """The innermost function around each ``isinstance(..., bool)`` call in ``source``,
+    ``None`` for one outside any function."""
+    found = []
+
+    def visit(node: ast.AST, scope: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        ):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_only_the_integer_rule_tests_for_bool(module):
+    assert _bool_tests((PACKAGE / f"{module}.py").read_text()) == BOOL_TESTS.get(module, [])
+
+
+@pytest.mark.parametrize(
+    "source, scopes",
+    [
+        ("ok = isinstance(x, bool)\n", [None]),
+        ("def f(x):\n    return isinstance(x, int) and not isinstance(x, bool)\n", ["f"]),
+        ("def f(x):\n    return isinstance(x, (int, bool))\n", ["f"]),
+        ("class C:\n    def m(self, x):\n        def g():\n            return isinstance(x, bool)\n"
+         "        return isinstance(x, bool) or g()\n", ["g", "m"]),
+    ],
+    ids=["module level", "int rule", "tuple of types", "nested functions"],
+)
+def test_the_bool_scan_sees_each_call(source, scopes):
+    assert _bool_tests(source) == scopes

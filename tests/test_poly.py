@@ -562,6 +562,18 @@ def _related_pairs(draw):
     return terms(sets[0]), terms(sets[1])
 
 
+def _literal_layout(ref):
+    """The ring and width of the canonical polynomial of the term map ``ref``, worked out
+    by hand: the sorted variables of its terms, and the narrowest of 8, 16, 32, ... bits
+    that keeps its largest exponent's top bit clear."""
+    ring = tuple(sorted({v for mono in ref for v, _ in mono}))
+    top = max((e for mono in ref for _, e in mono), default=0)
+    bits = 8
+    while top >= 1 << (bits - 1):
+        bits *= 2
+    return ring, bits
+
+
 @given(_related_pairs())
 # an insertion before a shared variable
 @example(({((Z, 1), (W, 1)): 1}, {((W, 1), (y_var(1), 1)): 1}))
@@ -588,7 +600,7 @@ def test_arithmetic_matches_a_literal_dict_of_tuples_reference(pair):
     ]
     for p, ref in results:
         rebuilt = SparsePolynomial(ref)
-        assert p.terms == ref
+        assert p.terms == ref and (p._ring, p._bits) == _literal_layout(ref)
         assert str(p) == _literal_render(ref)
         assert p.evaluate(REFERENCE_POINT) == _ref_evaluate(ref, REFERENCE_POINT)
         assert p == rebuilt and hash(p) == hash(rebuilt)
@@ -640,12 +652,13 @@ def test_sum_of_products_matches_the_literal_sum(pairs):
     products, down to the canonical ring and width.
 
     ``*`` itself goes through ``_sum_of_products``, so the expected value
-    comes from the dict-of-tuples reference, and the ring, width and hash
-    from the reference rebuilt through the constructor."""
+    comes from the dict-of-tuples reference, the ring and width from the
+    layout worked out by hand, and the hash from the reference rebuilt
+    through the constructor."""
     ref = {}
     for a, b in pairs:
         ref = _ref_add(ref, _ref_mul(a.terms, b.terms))
     got, rebuilt = _sum_of_products(pairs), SparsePolynomial(ref)
     assert got.terms == ref and str(got) == _literal_render(ref)
-    assert (got._ring, got._bits) == (rebuilt._ring, rebuilt._bits)
+    assert (got._ring, got._bits) == _literal_layout(ref)
     assert got == rebuilt and hash(got) == hash(rebuilt)
