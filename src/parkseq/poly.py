@@ -31,11 +31,15 @@ with ``_printed_order`` the one sort.  Every polynomial's ``_template`` is
 a one-element list, the cell, its own unless ``_renamed`` hands it its
 source's: an order-keeping renaming keeps every key and its printed place,
 so the first ``str`` of a source or any copy fills the cell for all of
-them, and a repeat ``str`` is one ``format``.  One encoder, ``_packed``,
-packs monomials, for the two constructors and ``_trimmed``; one decoder,
-``_decoded`` over the memoized pieces of ``_Pieces``, unpacks them, for
-``terms``, ``_template_of`` and ``_trimmed``, and through ``terms`` for
-``evaluate`` and ``substitute``, which both fold the decoded terms in
+them.  A polynomial keeps what it renders: its text, from the first
+``str``, and its decoded term map, from the first ``terms``, ``evaluate``
+or ``substitute``, so a repeat of any of them decodes and formats nothing.
+The memos live on the polynomial and go with it; ``poly`` keeps no memo of
+its own.  One encoder, ``_packed``, packs monomials, for the two
+constructors and ``_trimmed``; one decoder, ``_decoded`` over the memoized
+pieces of ``_Pieces``, unpacks them, for ``_keyed_terms``,
+``_template_of`` and ``_trimmed``.  ``terms`` copies the map of
+``_keyed_terms``, and ``evaluate`` and ``substitute`` both fold it in
 ``_folded``.  There is no floating point anywhere in this module.
 """
 
@@ -44,7 +48,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from math import prod
 from operator import or_
 from typing import Callable, Iterable, Mapping
@@ -58,7 +62,6 @@ _FAM_X = 3
 
 _BITS = 8  # the narrowest field width; wider exponents double it as often as needed
 _LEAF = 4  # fields that ``terms`` and ``str`` decode together, once per value
-_DECODERS = 4  # decode memos kept, one per recent (ring, width)
 
 
 class Variable(namedtuple("_Variable", "family a b", defaults=(0, 0))):
@@ -242,8 +245,7 @@ def _trimmed(ring: Ring, bits: int, terms: dict[int, int]) -> "SparsePolynomial"
     exponent, is kept as it is.  Any other is decoded and packed again by
     ``_packed``, which drops each field that is zero in every term and sets
     the width the exponents need: narrower after a cancellation, or wider
-    when a product's exponent sets a field's top bit.  It decodes with
-    ``_halves``, not ``_decoder``, so that it evicts no ``_decoder`` memo.
+    when a product's exponent sets a field's top bit.
     """
     used = reduce(or_, terms, 0)  # each field as long as the field's largest exponent
     mask = (1 << bits) - 1
@@ -292,15 +294,9 @@ def _halves(ring: tuple, bits: int, build: Callable) -> tuple[_Pieces, int, int,
 
 def _decoded(pairs: Iterable[tuple[int, int]], pieces: tuple[_Pieces, int, int, _Pieces]) -> dict:
     """``{piece of k: value}`` for each (packed key k, value) pair, the pieces
-    ``(high, shift, mask, low)`` from ``_halves`` or ``_decoder``."""
+    ``(high, shift, mask, low)`` from ``_halves``."""
     high, shift, mask, low = pieces
     return {high[k >> shift] + low[k & mask]: c for k, c in pairs}
-
-
-# ``terms`` keeps the memos it built last in one LRU, so a second call (the other
-# side of an identity, or the same polynomial again) starts warm; the bound caps
-# the memory the memos hold.
-_decoder = lru_cache(maxsize=_DECODERS)(_halves)
 
 
 def _factor_text(pairs: list[tuple[str, int]]) -> str:
@@ -311,11 +307,13 @@ def _factor_text(pairs: list[tuple[str, int]]) -> str:
 class SparsePolynomial:
     """Immutable exact polynomial; supports ``+ - *`` with ints and peers."""
 
-    __slots__ = ("_ring", "_bits", "_terms", "_template")
+    # ``_text`` and ``_keyed`` memoize ``str`` and ``_keyed_terms``; None until filled
+    __slots__ = ("_ring", "_bits", "_terms", "_template", "_text", "_keyed")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         self._ring, self._bits, self._terms = _packed(_canonical_terms((terms or {}).items()))
         self._template = [None]
+        self._text = self._keyed = None
 
     @classmethod
     def _raw(
@@ -326,6 +324,7 @@ class SparsePolynomial:
         p = cls.__new__(cls)
         p._ring, p._bits, p._terms = ring, bits, terms
         p._template = [None] if template is None else template
+        p._text = p._keyed = None
         return p
 
     @classmethod
@@ -337,8 +336,9 @@ class SparsePolynomial:
 
     @property
     def terms(self) -> dict[Monomial, int]:
-        """The canonical term map, keyed by (variable, exponent) tuples; a fresh dict."""
-        return _decoded(self._terms.items(), _decoder(self._ring, self._bits, tuple))
+        """The canonical term map, keyed by (variable, exponent) tuples: a fresh copy of
+        the polynomial's decoded map, so a caller's edit changes no polynomial."""
+        return dict(_keyed_terms(self))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -350,6 +350,8 @@ class SparsePolynomial:
         q = _coerce(other)
         if q is None:
             return NotImplemented
+        if self is q:
+            return True
         return self._ring == q._ring and self._bits == q._bits and self._terms == q._terms
 
     def __hash__(self) -> int:
@@ -454,10 +456,12 @@ class SparsePolynomial:
         return poly(_folded(self, {v: images.get(v, poly(v)) for v in self._ring}))
 
     def __str__(self) -> str:
-        cell = self._template
-        if cell[0] is None:
-            cell[0] = _template_of(self)
-        return cell[0].format(*map(str, self._ring))
+        if self._text is None:
+            cell = self._template
+            if cell[0] is None:
+                cell[0] = _template_of(self)
+            self._text = cell[0].format(*map(str, self._ring))
+        return self._text
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
@@ -499,10 +503,18 @@ def _sum_of_products(
     return _trimmed(ring, bits, out)
 
 
+def _keyed_terms(p: SparsePolynomial) -> dict[Monomial, int]:
+    """``p``'s term map keyed by (variable, exponent) tuples, decoded on the first call
+    and kept on ``p``; callers must not change it."""
+    if p._keyed is None:
+        p._keyed = _decoded(p._terms.items(), _halves(p._ring, p._bits, tuple))
+    return p._keyed
+
+
 def _folded(p: SparsePolynomial, point: Mapping[Variable, object]) -> int | SparsePolynomial:
     """``p`` with ``point[v]`` put in for every variable v at once: ``evaluate`` passes ints,
     ``substitute`` polynomials."""
-    return sum(c * prod([point[v] ** e for v, e in mono]) for mono, c in p.terms.items())
+    return sum(c * prod([point[v] ** e for v, e in mono]) for mono, c in _keyed_terms(p).items())
 
 
 def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> SparsePolynomial:
@@ -512,7 +524,8 @@ def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> Spa
     stays in its place, so the packed term map is shared as it is and only
     the ring changes.  Every term keeps its printed place too, so the copy
     gets ``p``'s template cell, and the first ``str`` of ``p`` or of any of
-    its copies fills it for the rest.
+    its copies fills it for the rest.  The copy's names differ, so it gets
+    neither of ``p``'s memos: its text and its decoded map are its own.
     """
     return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms, p._template)
 
@@ -543,9 +556,9 @@ def _template_of(p: SparsePolynomial) -> str:
     """``p``'s text with the name ``{i}`` for the i-th ring variable, for ``format`` to fill in.
 
     The terms go in printed order, each key's factors from the pieces of
-    ``_halves``, not ``_decoder``, so that a build evicts no ``_decoder``
-    memo.  ``format`` would misread any other brace, so the text with every
-    name left out must hold none.
+    ``_halves`` over the slots, so one template serves every copy that
+    shares the cell.  ``format`` would misread any other brace, so the text
+    with every name left out must hold none.
     """
     slots = tuple(f"{{{i}}}" for i in range(len(p._ring)))
     terms, parts = p._terms, []

@@ -36,9 +36,10 @@ only the ring changes.  ``identity_sides`` does the same with whole sides:
 ``_sides`` builds both over {1..k} once per identity and size, the left
 side of a convolution multiplied out at z + w and the right side adding
 its 2^k split products into one term map (``poly._sum_of_products``).  A
-right side equal to the left shares its map.  Printing is ``poly``'s: all
-the relabelled copies of one side share the text it builds on the first
-``str`` of any of them.
+right side equal to the left is the left side itself, and it stays one
+polynomial when relabelled, so the two sides decode and print once.
+Printing is ``poly``'s: all the relabelled copies of one side share the
+template it builds on the first ``str`` of any of them.
 The exact right side of a convolution is the top coefficient of a subset
 convolution, summed by a blocked subset transform: the splits of the (at
 most ``_BLOCK``) smallest members of A are laid out as lists indexed by
@@ -210,7 +211,9 @@ def identity_sides(
     decompositions, so all three carry a size guard; pass a larger
     ``budget`` to lift it deliberately.  Both sides are built once per
     identity and size, over {1..|A|} (``_sides``), and relabelled onto A
-    sharing their term maps; equal sides share one map.
+    sharing their term maps.  Equal sides are one polynomial, relabelled
+    once, so ``lhs is rhs``; the polynomial is immutable, and it keeps the
+    text and term map it renders, so the second side costs nothing.
     """
     A = _as_index_set(A)
     _check_identity(identity, A)
@@ -221,7 +224,8 @@ def identity_sides(
             " use random_identity_check instead"
         )
     lhs, rhs = _sides(identity, len(A))
-    return _relabelled(lhs, A), _relabelled(rhs, A)
+    left = _relabelled(lhs, A)
+    return left, left if rhs is lhs else _relabelled(rhs, A)
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +233,8 @@ def _sides(identity: str, k: int) -> tuple[SparsePolynomial, SparsePolynomial]:
     """Both sides of ``identity`` over {1..k}, as summed.
 
     The left side of a convolution is multiplied out at z + w here, once per
-    size.  A right side equal to the left is the left side itself, so the two
-    share one term map; a right side that differs is kept as summed.
+    size.  A right side equal to the left is the left side itself, which
+    ``identity_sides`` relabels once; a right side that differs is kept as summed.
     """
     A = IndexSet.first(k)
     z = poly(Z)

@@ -12,6 +12,10 @@ only relabels and compares polynomials.
 Every check of an integer input goes through ``core._is_int``, which refuses
 ``bool``: no other function tests for ``bool`` but ``cli._cell``, which
 formats one.
+
+``poly`` keeps no module-level memo: it uses neither ``functools.lru_cache``
+nor ``functools.cache``, so every memo it fills lives on a polynomial and is
+freed with it.
 """
 
 import ast
@@ -148,3 +152,43 @@ def test_only_the_integer_rule_tests_for_bool(module):
 )
 def test_the_bool_scan_sees_each_call(source, scopes):
     assert _bool_tests(source) == scopes
+
+
+CACHES = ("lru_cache", "cache")
+
+
+def _cache_uses(source: str) -> list[str]:
+    """Every ``functools`` cache that ``source`` imports, names or reaches as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [alias.name for alias in node.names if alias.name in CACHES]
+        elif isinstance(node, ast.Attribute) and node.attr in CACHES:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "lru_cache":
+            found.append(node.id)
+    return found
+
+
+def test_poly_keeps_no_module_level_cache():
+    assert _cache_uses((PACKAGE / "poly.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from functools import lru_cache\n",
+        "from functools import cache as remember\n",
+        "@functools.lru_cache(maxsize=4)\ndef f(x):\n    return x\n",
+        "@functools.cache\ndef f(x):\n    return x\n",
+        "_f = lru_cache(maxsize=4)(g)\n",
+        "import functools as ft\n_f = ft.cache(g)\n",
+    ],
+    ids=["import", "import as", "decorator call", "decorator", "call", "aliased module call"],
+)
+def test_the_cache_scan_sees_each_use(source):
+    assert _cache_uses(source)
+
+
+def test_the_cache_scan_passes_a_plain_dict_named_cache():
+    assert _cache_uses("cache = {}\ncache[1] = 2\n") == []

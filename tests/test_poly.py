@@ -1,7 +1,9 @@
 """Sparse polynomial engine: canonical form, ring laws, substitution, evaluation."""
 
+import copy
 import importlib
 import operator
+import pickle
 import random
 import re
 
@@ -349,8 +351,8 @@ def test_rendering_matches_a_literal_renderer(a, b):
 
 
 def test_a_repeat_str_of_an_unrelabelled_product_reuses_its_template(monkeypatch):
-    """The first ``str`` of a polynomial with no template cell puts one on it,
-    which a later relabelled copy shares."""
+    """Every polynomial is made with an empty template cell; its first ``str``
+    fills the cell, which a later relabelled copy shares."""
     poly_module = importlib.import_module("parkseq.poly")
     builds = []
     build = poly_module._template_of
@@ -368,6 +370,61 @@ def test_a_repeat_str_of_an_unrelabelled_product_reuses_its_template(monkeypatch
     copy = poly_module._renamed(p, relabel.__getitem__)  # shares the filled cell
     assert str(copy) == "-3*z + z*x1_3 - 3*y3 + y3*x1_3"
     assert len(builds) == 1
+
+
+def test_terms_is_a_fresh_dict_on_every_call():
+    """``terms`` copies the polynomial's decoded map, so a caller's edit reaches
+    neither a later ``terms`` nor the values the polynomial folds."""
+    p = (poly(Z) + y_var(2)) * (poly(x_var(1, 2)) - 3)
+    original = p.terms
+    first = p.terms
+    first[((Z, 1),)] = 99
+    del first[((y_var(2), 1), (x_var(1, 2), 1))]
+    second = p.terms
+    assert second == original and second is not first
+    assert p.evaluate(POINT) == -3 * 3 + 3 * 11 - 3 * (-7) + (-7) * 11
+    assert str(p) == "-3*z + z*x1_2 - 3*y2 + y2*x1_2"
+
+
+def test_a_repeat_render_of_one_polynomial_decodes_nothing(monkeypatch):
+    """The first ``terms``, ``evaluate`` or ``substitute`` decodes the term map once,
+    and the first ``str`` builds the template once; after that, ``terms``, ``str``,
+    ``evaluate`` and ``substitute`` of the same polynomial call ``_halves`` no more."""
+    poly_module = importlib.import_module("parkseq.poly")
+    calls = []
+    halves = poly_module._halves
+
+    def counted(*args):
+        calls.append(args)
+        return halves(*args)
+
+    monkeypatch.setattr(poly_module, "_halves", counted)
+    p = (poly(Z) + y_var(1) + x_var(1, 2)) * (poly(W) - y_var(2)) ** 2
+    want = p.evaluate(POINT)
+    assert len(calls) == 1  # the term map, decoded for the fold
+    terms, shifted = p.terms, p.substitute({Z: poly(Z) + 1})
+    assert len(calls) == 1  # both read the kept map
+    text = str(p)
+    assert len(calls) == 2  # the template
+    for _ in range(2):
+        assert p.terms == terms and str(p) == text and p.evaluate(POINT) == want
+        assert p.substitute({Z: poly(Z) + 1}) == shifted
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_a_rendered_polynomial_copies_with_its_memos(duplicate):
+    """After ``str`` and ``terms`` have filled both memos, a pickled or copied
+    polynomial is equal to the source and renders the same."""
+    p = (poly(Z) + y_var(2)) * (poly(x_var(1, 2)) - 2) ** 2
+    text, terms = str(p), p.terms
+    q = duplicate(p)
+    assert q == p and hash(q) == hash(p)
+    assert str(q) == text and q.terms == terms and q.evaluate(POINT) == p.evaluate(POINT)
 
 
 class TestVariableContract:

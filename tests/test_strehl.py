@@ -213,6 +213,30 @@ class TestSidesPerSize:
             lhs, rhs = identity_sides(identity, (3, 6, 10))
             assert lhs._terms is rhs._terms and lhs._template is rhs._template
 
+    def test_equal_sides_are_one_polynomial(self):
+        """With cold caches and warm ones, an identity that holds gives one
+        relabelled polynomial for both sides."""
+        strehl._sides.cache_clear()
+        strehl._expand.cache_clear()
+        for A in ((3, 6, 10), (1, 2, 5, 8), (1, 2, 3, 4)):
+            for identity in IDENTITIES:
+                for lhs, rhs in (identity_sides(identity, A), identity_sides(identity, A)):
+                    assert lhs is rhs
+                    assert lhs._ring[-1] == (3, A[-2], A[-1])  # relabelled onto A
+
+    def test_sides_that_differ_are_two_polynomials(self, monkeypatch):
+        """A right side that differs from the left is relabelled on its own."""
+        monkeypatch.setattr(strehl, "partitions_into_two", lambda A: [*partitions_into_two(A)][1:])
+        strehl._sides.cache_clear()
+        try:
+            for identity in ("sheffer", "binomial"):
+                for A in ((1, 2, 3), (4, 9, 12), (4, 9, 12)):  # cold, warm
+                    lhs, rhs = identity_sides(identity, A)
+                    assert lhs is not rhs and lhs != rhs
+                    assert str(lhs) != str(rhs) and lhs.terms != rhs.terms
+        finally:
+            strehl._sides.cache_clear()
+
     def test_a_broken_identity_shows_on_every_set(self, monkeypatch):
         """A right side that differs from the left is kept as summed, so a
         second set of the size, built from the cache, shows it too."""
