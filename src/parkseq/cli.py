@@ -1,10 +1,12 @@
 """Command-line front end: park, count, verify, table.
 
 Every subcommand speaks three formats: ``plain`` human lines, ``tsv`` with a
-header row, and ``json`` with one flat record per line.  Exit codes: 0 for
-success / all rows match, 1 for a failed parking attempt or a verification
-mismatch, 2 for malformed input or an exceeded enumeration budget.  Output
-bytes are a pure function of the flags (including ``--seed``).
+header row, and ``json`` with one flat record per line.  ``_write`` prints
+each record as it is made, after every check that could refuse the run, so
+a refusal prints nothing on stdout.  Exit codes: 0 for success / all rows
+match, 1 for a failed parking attempt, a verification mismatch or a stdout
+closed early, 2 for malformed input or an exceeded enumeration budget.
+Output bytes are a pure function of the flags (including ``--seed``).
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import combinations, cycle, islice, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .core import Collision, Parked, simulate_parking
+from .core import Parked, as_car_sizes, simulate_parking
 from .counting import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
     IndexSet,
     _check_budget,
+    _check_partition_count,
     count_by_formula,
     count_report,
 )
@@ -72,81 +75,71 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _emit(fmt: str, records: list[dict], plain_lines: list[str], columns: tuple[str, ...]) -> None:
-    if fmt == "plain":
-        for line in plain_lines:
-            print(line)
-    elif fmt == "json":
+def _write(fmt: str, columns: tuple[str, ...], plain: Callable, records: Iterable) -> bool:
+    """Print each record as it arrives; True when no record has a false ``match``.
+
+    ``plain`` gives a record's plain line; ``json`` writes the record and
+    ``tsv`` its cells under a header row printed first.
+    """
+    if fmt == "json":
         import json  # only --format json pays for loading the encoder
-        for record in records:
-            print(json.dumps(record))
-    else:
+        line = json.dumps
+    elif fmt == "tsv":
         print("\t".join(columns))
-        for record in records:
-            print("\t".join(_cell(record.get(col)) for col in columns))
+
+        def line(record: dict) -> str:
+            return "\t".join(_cell(record.get(col)) for col in columns)
+    else:
+        line = plain
+    ok = True
+    for record in records:
+        print(line(record))
+        ok = ok and bool(record.get("match", True))
+    return ok
 
 
 def _digest(p: SparsePolynomial) -> str:
     """Short stable fingerprint of a canonical polynomial for table cells."""
     import hashlib  # loads OpenSSL; only symbolic rows need it
-    text = str(p)
-    return f"t{len(p._terms)}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
+    return f"t{len(p)}:{hashlib.sha256(str(p).encode()).hexdigest()[:12]}"
+
+
+def _park_line(r: dict) -> str:
+    if r["outcome"] == "parked":
+        return r["layout"]
+    if r["outcome"] == "collision":
+        blocked = f"but spot {r['blocked_at']} is occupied"
+        return f"collision: car {r['car']} reached empty spot {r['first_empty']} {blocked}"
+    if r["first_empty"] is None:
+        return f"overflow: car {r['car']} found no empty spot at or after its preference"
+    return f"overflow: car {r['car']} would run past the last spot from spot {r['first_empty']}"
 
 
 def cmd_park(args: argparse.Namespace) -> int:
     outcome = simulate_parking(args.sizes, args.z, args.prefs)
-    record: dict = {"sizes": list(args.sizes), "z": args.z, "prefs": list(args.prefs)}
+    record = {"sizes": list(args.sizes), "z": args.z, "prefs": list(args.prefs)}
+    record.update(outcome=type(outcome).__name__.lower(), **outcome._asdict())
     if isinstance(outcome, Parked):
-        layout = outcome.layout.render()
-        record.update(outcome="parked", layout=layout)
-        plain = layout
-        code = EXIT_OK
-    elif isinstance(outcome, Collision):
-        record.update(
-            outcome="collision",
-            car=outcome.car,
-            first_empty=outcome.first_empty,
-            blocked_at=outcome.blocked_at,
-        )
-        plain = (
-            f"collision: car {outcome.car} reached empty spot {outcome.first_empty}"
-            f" but spot {outcome.blocked_at} is occupied"
-        )
-        code = EXIT_FAILURE
-    else:
-        record.update(outcome="overflow", car=outcome.car, first_empty=outcome.first_empty)
-        if outcome.first_empty is None:
-            plain = f"overflow: car {outcome.car} found no empty spot at or after its preference"
-        else:
-            plain = (
-                f"overflow: car {outcome.car} would run past the last spot"
-                f" from spot {outcome.first_empty}"
-            )
-        code = EXIT_FAILURE
-    _emit(args.fmt, [record], [plain], PARK_COLUMNS)
-    return code
+        record["layout"] = outcome.layout.render()
+    _write(args.fmt, PARK_COLUMNS, _park_line, [record])
+    return EXIT_OK if isinstance(outcome, Parked) else EXIT_FAILURE
+
+
+def _count_line(r: dict) -> str:
+    if "match" not in r:
+        return str(r["formula"])
+    return f"formula={r['formula']} enumerated={r['enumerated']} match={_cell(r['match'])}"
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     budget = _default_budget() if args.budget is None else args.budget
     _check_budget(budget)
     formula = count_by_formula(args.sizes, args.z)
-    record: dict = {"sizes": list(args.sizes), "z": args.z, "formula": formula}
-    if not args.do_enumerate:
-        _emit(args.fmt, [record], [str(formula)], COUNT_COLUMNS)
-        return EXIT_OK
-    report = count_report(args.sizes, args.z, budget=None if args.force else budget)
-    record.update(
-        enumerated=report.enumerated,
-        match=report.match,
-        tuples_scanned=report.tuples_scanned,
-    )
-    plain = (
-        f"formula={report.formula} enumerated={report.enumerated}"
-        f" match={_cell(report.match)}"
-    )
-    _emit(args.fmt, [record], [plain], COUNT_COLUMNS)
-    return EXIT_OK if report.match else EXIT_FAILURE
+    record = {"sizes": list(args.sizes), "z": args.z, "formula": formula}
+    if args.do_enumerate:
+        report = count_report(args.sizes, args.z, budget=None if args.force else budget)
+        record.update(report._asdict())  # formula keeps its place; the rest follow it
+    return EXIT_OK if _write(args.fmt, COUNT_COLUMNS, _count_line, [record]) else EXIT_FAILURE
 
 
 def _subsets(n: int, include_empty: bool) -> Iterator[IndexSet]:
@@ -155,24 +148,41 @@ def _subsets(n: int, include_empty: bool) -> Iterator[IndexSet]:
             yield IndexSet(combo)
 
 
-def _rows_recurrence(args: argparse.Namespace) -> Iterator[dict]:
-    for n in range(args.n_max + 1):
+def _row(*cells: object) -> dict:
+    """One verify record, its cells in ``VERIFY_COLUMNS`` order."""
+    return dict(zip(VERIFY_COLUMNS, cells))
+
+
+def _verify_line(r: dict) -> str:
+    return f"{r['suite']} {r['instance']}: lhs={r['lhs']} rhs={r['rhs']} match={_cell(r['match'])}"
+
+
+def _fleets(args: argparse.Namespace, extra: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(sizes, z)`` over the sweep: up to ``--n-max`` cars plus ``extra``, each of
+    size 1..``--y-max``, and z in 1..``--z-max``, z varying fastest."""
+    for n in range(extra, args.n_max + extra + 1):
         for sizes in product(range(1, args.y_max + 1), repeat=n):
-            for nxt in range(1, args.y_max + 1):
-                for z in range(1, args.z_max + 1):
-                    report = verify_recurrence(sizes, nxt, z)
-                    yield {
-                        "suite": "recurrence",
-                        "instance": f"sizes={_csv(sizes) or '-'} next={nxt} z={z}",
-                        "lhs": report.formula,
-                        "rhs": report.enumerated,
-                        "match": report.match,
-                    }
+            for z in range(1, args.z_max + 1):
+                yield sizes, z
 
 
-def _rows_identity(args: argparse.Namespace, name: str, ground: IndexSet | None) -> Iterator[dict]:
-    if ground is not None:
-        grounds: Iterable[IndexSet] = [ground]
+def _rows_recurrence(args: argparse.Namespace, suite: str) -> Iterator[dict]:
+    for fleet, z in _fleets(args, 1):
+        sizes, nxt = fleet[:-1], fleet[-1]
+        report = verify_recurrence(sizes, nxt, z)
+        instance = f"sizes={_csv(sizes) or '-'} next={nxt} z={z}"
+        yield _row(suite, instance, report.formula, report.enumerated, report.match)
+
+
+def _rows_specialization(args: argparse.Namespace, suite: str) -> Iterator[dict]:
+    for sizes, z in _fleets(args, 0):
+        lhs, rhs = f_as_t_specialization(sizes, z), count_by_formula(sizes, z)
+        yield _row(suite, f"sizes={_csv(sizes) or '-'} z={z}", lhs, rhs, lhs == rhs)
+
+
+def _rows_identity(args: argparse.Namespace, name: str) -> Iterator[dict]:
+    if args.ground is not None:
+        grounds: Iterable[IndexSet] = [args.ground]
     else:
         grounds = _subsets(args.n_max, include_empty=name != "easy")
     for A in grounds:
@@ -184,31 +194,17 @@ def _rows_identity(args: argparse.Namespace, name: str, ground: IndexSet | None)
             instance = f"A={{{_csv(A)}}} randomized trials={args.trials} seed={args.seed}"
             if failing is not None:  # trial k is the k-th draw, so --trials k replays it
                 instance += f" trial={failing + 1}"
-            yield {"suite": name, "instance": instance, "lhs": lhs, "rhs": rhs, "match": lhs == rhs}
+            yield _row(name, instance, lhs, rhs, lhs == rhs)
         else:
             lhs_p, rhs_p = identity_sides(name, A)
-            yield {
-                "suite": name,
-                "instance": f"A={{{_csv(A)}}} symbolic",
-                "lhs": _digest(lhs_p),
-                "rhs": _digest(rhs_p),
-                "match": lhs_p == rhs_p,
-            }
+            instance = f"A={{{_csv(A)}}} symbolic"
+            yield _row(name, instance, _digest(lhs_p), _digest(rhs_p), lhs_p == rhs_p)
 
 
-def _rows_specialization(args: argparse.Namespace) -> Iterator[dict]:
-    for n in range(args.n_max + 1):
-        for sizes in product(range(1, args.y_max + 1), repeat=n):
-            for z in range(1, args.z_max + 1):
-                lhs = f_as_t_specialization(sizes, z)
-                rhs = count_by_formula(sizes, z)
-                yield {
-                    "suite": "specialization",
-                    "instance": f"sizes={_csv(sizes) or '-'} z={z}",
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "match": lhs == rhs,
-                }
+_SUITE_ROWS = dict(
+    recurrence=_rows_recurrence, easy=_rows_identity, sheffer=_rows_identity,
+    binomial=_rows_identity, specialization=_rows_specialization,
+)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -218,24 +214,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(
             f"invalid sweep ranges: n_max={args.n_max} y_max={args.y_max} z_max={args.z_max}"
         )
-    ground = None if args.ground is None else IndexSet(args.ground)
+    ground = args.ground = None if args.ground is None else IndexSet(args.ground)  # rows read it
     if ground is not None and not ground and args.suite in ("easy", "all"):
         raise ValueError("the easy identity needs a nonempty --set")
-    rows: list[dict] = []
-    for suite in SUITES[:-1] if args.suite == "all" else [args.suite]:
-        if suite == "recurrence":
-            rows.extend(_rows_recurrence(args))
-        elif suite == "specialization":
-            rows.extend(_rows_specialization(args))
-        else:
-            rows.extend(_rows_identity(args, suite, ground))
-    plain = [
-        f"{row['suite']} {row['instance']}: lhs={row['lhs']} rhs={row['rhs']}"
-        f" match={_cell(row['match'])}"
-        for row in rows
-    ]
-    _emit(args.fmt, rows, plain, VERIFY_COLUMNS)
-    return EXIT_OK if all(row["match"] for row in rows) else EXIT_FAILURE
+    # rows go out as they are computed, so every refusal a sweep could reach comes first
+    if args.suite in ("recurrence", "all"):
+        _check_partition_count(args.n_max)
+    if args.suite in ("sheffer", "binomial", "all"):
+        _check_partition_count(args.n_max if ground is None else len(ground))
+    suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    rows = (row for suite in suites for row in _SUITE_ROWS[suite](args, suite))
+    return EXIT_OK if _write(args.fmt, VERIFY_COLUMNS, _verify_line, rows) else EXIT_FAILURE
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -247,21 +236,18 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError("--pattern is required for the pattern family")
     if args.family == "const" and args.car < 1:
         raise ValueError(f"--car must be >= 1, got {args.car}")
+    pattern = {"ones": (1,), "const": (args.car,)}.get(args.family, args.pattern)
 
     def sizes_for(n: int) -> tuple[int, ...]:
-        if args.family == "ones":
-            return (1,) * n
-        if args.family == "const":
-            return (args.car,) * n
-        return tuple(islice(cycle(args.pattern), n))
+        return tuple(islice(cycle(pattern), n))
 
-    rows = []
-    for n in range(args.n_max + 1):
-        for z in range(1, args.z_max + 1):
-            count = count_by_formula(sizes_for(n), z)
-            rows.append({"family": args.family, "n": n, "z": z, "count": count})
-    plain = [f"n={row['n']} z={row['z']} count={row['count']}" for row in rows]
-    _emit(args.fmt, rows, plain, TABLE_COLUMNS)
+    as_car_sizes(sizes_for(args.n_max))  # the longest fleet holds every size the rows use
+    rows = (
+        {"family": args.family, "n": n, "z": z, "count": count_by_formula(sizes_for(n), z)}
+        for n in range(args.n_max + 1)
+        for z in range(1, args.z_max + 1)
+    )
+    _write(args.fmt, TABLE_COLUMNS, "n={n} z={z} count={count}".format_map, rows)
     return EXIT_OK
 
 
@@ -394,8 +380,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console-script entry point."""
-    raise SystemExit(main())
+    """Console-script entry point; a stdout closed early (``| head``) exits 1 quietly."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+    except BrokenPipeError:
+        # the flush at exit would fail again; send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAILURE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -346,6 +346,10 @@ class SparsePolynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def __len__(self) -> int:
+        """The number of terms, counted without decoding them."""
+        return len(self._terms)
+
     def __eq__(self, other: object) -> bool:
         q = _coerce(other)
         if q is None:

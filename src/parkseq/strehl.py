@@ -9,10 +9,11 @@ A; the binomial-type family t_A is the main variable times the product over
 every member except the maximum, and 1 on the empty set.  ``_forms`` writes
 the forms of a set, adding its members one at a time: every earlier form
 gains one x term and the new member gets its form.  ``_product`` multiplies
-the result, so expansion, exact values, the head factor and the
-specializations all multiply forms built by it, specialized before anything
-is expanded.  Setting all x and all y parameters to constants collapses both
-families to the classical Abel--Rothe polynomials.
+the result, so expansion, exact values and the specializations multiply
+forms built by it, specialized before anything is expanded; the head factor
+is written from its definition, so a fault in ``_forms`` breaks ``easy``.
+Setting all x and y parameters to constants collapses both families to the
+classical Abel--Rothe polynomials.
 
 Three identities connect the families:
 
@@ -239,7 +240,7 @@ def _sides(identity: str, k: int) -> tuple[SparsePolynomial, SparsePolynomial]:
     A = IndexSet.first(k)
     z = poly(Z)
     if identity == "easy":
-        head = _forms(A, z, *_symbols(A))[-1]
+        head = sum(_symbols(A)[0].values(), z)  # z + the sum of y_j over A
         lhs, rhs = head * t_poly(A), z * s_poly(A)
     else:
         family, expand = ("s", s_poly) if identity == "sheffer" else ("t", t_poly)
@@ -374,7 +375,7 @@ def identity_value_sides(
     z, w, y, x = assignment.z_val, assignment.w_val, assignment.y_vals, assignment.x_vals
     if identity == "easy":
         forms = _forms(A, z, y, x)
-        return forms[-1] * _family("t", z, forms), z * math.prod(forms)
+        return (z + sum(y[j] for j in A)) * _family("t", z, forms), z * math.prod(forms)
     _check_partition_count(len(A))
     family = "s" if identity == "sheffer" else "t"
     rhs = _split_sum(A, family, z, w, y, x)

@@ -5,14 +5,18 @@ with the engine, or against the identity-side digests pinned in
 ``bench/expected.json`` (sizes 3 to 5).  Running the in-process workloads
 here keeps those checks in this suite, not only in the benchmark's own
 slower tests; ``symbolic`` runs on a second seed too.  The ``cli``
-workload runs child processes and stays there.
+workload runs each command in a child process; here each runs through
+``cli.main`` in-process, against the exit code and stdout sha256 pinned
+for it in ``bench/expected.json``.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 import parkseq
+from parkseq import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -43,3 +47,17 @@ def test_the_symbolic_jobs_of_a_second_seed_are_answered_correctly(monkeypatch):
     """The pinned side digests are over {1..k}, so a second seed's ground
     sets check the sides relabelled onto other labels."""
     assert failed_jobs(monkeypatch, "symbolic", 2) == []
+
+
+def test_every_cli_command_gives_its_pinned_exit_code_and_stdout(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    pinned = workloads.load_expected()["cli"]
+    answers, expected = {}, {}
+    for argv in workloads.CLI_CATALOG:
+        key = " ".join(argv)
+        code = cli.main(list(argv))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        answers[key], expected[key] = {"exit": code, "sha256": digest}, pinned[key]
+    assert answers == expected

@@ -16,7 +16,7 @@ import parkseq
 from parkseq import cli
 from parkseq.cli import main
 from parkseq.counting import count_by_formula
-from parkseq.strehl import identity_value_sides
+from parkseq.strehl import identity_value_sides, verify_recurrence
 
 
 def run_cli(capsys, *argv):
@@ -456,6 +456,45 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 2
 
+    def test_rows_go_out_as_they_are_computed(self, capsys, monkeypatch):
+        """Each row is on stdout before the next one is computed."""
+        seen = []
+
+        def watched(*args):
+            seen.append(capsys.readouterr().out)
+            return verify_recurrence(*args)
+
+        monkeypatch.setattr(cli, "verify_recurrence", watched)
+        argv = ("verify", "recurrence", "--n-max", "0", "--y-max", "1", "--z-max", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert seen == ["", "recurrence sizes=- next=1 z=1: lhs=1 rhs=1 match=true\n"]
+        assert out == "recurrence sizes=- next=1 z=2: lhs=2 rhs=2 match=true\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "recurrence", "--n-max", "31"),
+            ("verify", "sheffer", "--n-max", "31"),
+            ("verify", "binomial", "--n-max", "31"),
+            ("verify", "all", "--n-max", "31"),
+            # all would reach sheffer on the set only after the recurrence and easy rows
+            ("verify", "all", "--set", ",".join(map(str, range(1, 32))), "--trials", "1"),
+        ],
+        ids=["recurrence", "sheffer", "binomial", "all", "all-31-members"],
+    )
+    def test_a_split_past_the_partition_limit_is_refused_before_any_row(
+        self, capsys, monkeypatch, argv
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was computed before the sweep was checked")
+
+        for name in ("verify_recurrence", "identity_sides", "_trial_sides"):
+            monkeypatch.setattr(f"parkseq.cli.{name}", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        expected = "error: refusing to stream 2^31 decompositions (limit 2^30)\n"
+        assert (code, out, err) == (2, "", expected)
+
 
 class TestTable:
     def test_unit_family_matches_classic_sequence(self, capsys):
@@ -500,6 +539,13 @@ class TestTable:
         code, _, _ = run_cli(capsys, "table", "--n-max", "13")
         assert code == 2
 
+    def test_pattern_is_checked_only_as_far_as_the_rows_reach(self, capsys):
+        argv = ("table", "--family", "pattern", "--pattern", "2,0")
+        code, out, err = run_cli(capsys, *argv, "--n-max", "1")
+        assert (code, len(out.splitlines()), err) == (0, 8, "")
+        code, out, err = run_cli(capsys, *argv, "--n-max", "2")
+        assert (code, out, err) == (2, "", "error: car sizes must be integers >= 1, got 0\n")
+
 
 EXTREME_FLAGS = {
     "park-long-trailer": ["park", "--sizes", "1", "--z", str(10**20), "--prefs", "1"],
@@ -509,6 +555,9 @@ EXTREME_FLAGS = {
     "count-two-long-cars": ["count", "--sizes", "1000000,1000000", "--z", "1", "--enumerate"],
     "verify-31-members": [
         "verify", "sheffer", "--set", ",".join(map(str, range(1, 32))), "--trials", "1"
+    ],
+    "verify-all-31-members": [
+        "verify", "all", "--set", ",".join(map(str, range(1, 32))), "--trials", "1"
     ],
     "verify-empty-set": ["verify", "all", "--set", ""],
     "table-past-limit": ["table", "--n-max", "13"],
@@ -549,6 +598,23 @@ def test_import_loads_no_process_machinery():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    """A reader that stops early, as ``| head -1`` does, gets exit 1 and no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(parkseq.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "parkseq", "verify", "recurrence", "--n-max", "5"]
+    # the sweep writes 305,742 bytes, more than a pipe holds, so it outlives the close
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        try:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        finally:
+            child.kill()
+    assert first == b"recurrence sizes=- next=1 z=1: lhs=1 rhs=1 match=true\n"
+    assert (code, err) == (1, b"")
 
 
 _build_parser = cli._build_parser  # kept here, since the test below patches the module's

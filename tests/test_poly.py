@@ -412,6 +412,26 @@ def test_a_repeat_render_of_one_polynomial_decodes_nothing(monkeypatch):
     assert len(calls) == 2
 
 
+def test_len_counts_the_terms_without_decoding(monkeypatch):
+    poly_module = importlib.import_module("parkseq.poly")
+    halves = poly_module._halves
+    samples = [
+        poly(0),
+        poly(7),
+        poly(Z) + y_var(1),
+        (poly(Z) + y_var(1) + x_var(1, 2)) * (poly(W) - y_var(2)) ** 2,
+    ]
+
+    def refuse(*args):
+        raise AssertionError("len decoded the term map")
+
+    monkeypatch.setattr(poly_module, "_halves", refuse)
+    counts = [len(p) for p in samples]
+    monkeypatch.setattr(poly_module, "_halves", halves)
+    assert counts == [len(p.terms) for p in samples]
+    assert counts[0] == 0 and counts[1] == 1
+
+
 @pytest.mark.parametrize(
     "duplicate",
     [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
