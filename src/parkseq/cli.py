@@ -31,6 +31,7 @@ from .counting import (
 from .poly import SparsePolynomial
 from .strehl import (
     SYMBOLIC_BUDGET,
+    _check_trials,
     _trial_sides,
     f_as_t_specialization,
     identity_sides,
@@ -148,9 +149,9 @@ def _subsets(n: int, include_empty: bool) -> Iterator[IndexSet]:
             yield IndexSet(combo)
 
 
-def _row(*cells: object) -> dict:
-    """One verify record, its cells in ``VERIFY_COLUMNS`` order."""
-    return dict(zip(VERIFY_COLUMNS, cells))
+def _row(suite: str, instance: str, lhs: object, rhs: object, match: bool) -> dict:
+    """One verify record, its keys in ``VERIFY_COLUMNS`` order."""
+    return {"suite": suite, "instance": instance, "lhs": lhs, "rhs": rhs, "match": match}
 
 
 def _verify_line(r: dict) -> str:
@@ -208,8 +209,7 @@ _SUITE_ROWS = dict(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    _check_trials(args.trials)
     if args.n_max < 0 or args.y_max < 1 or args.z_max < 1:
         raise ValueError(
             f"invalid sweep ranges: n_max={args.n_max} y_max={args.y_max} z_max={args.z_max}"

@@ -27,6 +27,13 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_integer(value: object, name: object, key: object = None) -> None:
+    """Refuse a value that is not an ``int``, or is a ``bool``, naming where it sat."""
+    if not _is_int(value):
+        where = name if key is None else f"{name}[{key!r}]"
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
 class CarSizeVector(tuple):
     """Ordered car lengths, one positive integer per arriving car, as a tuple."""
 

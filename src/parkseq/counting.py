@@ -12,7 +12,7 @@ from collections import namedtuple
 from math import comb
 from typing import Iterable, Iterator
 
-from .core import SizesLike, _check_lot, _check_z, _decimal, _is_int, as_car_sizes
+from .core import SizesLike, _check_integer, _check_lot, _check_z, _decimal, _is_int, as_car_sizes
 
 DEFAULT_BUDGET = 4 * 10**6
 PARTITION_LIMIT = 30
@@ -251,8 +251,7 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
 
 def _check_budget(budget: object) -> None:
     """Refuse an enumeration budget that is not an ``int`` >= 1; a ``bool`` is no budget."""
-    if not _is_int(budget):
-        raise ValueError(f"budget must be an integer, got {budget!r}")
+    _check_integer(budget, "budget")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 

@@ -53,7 +53,7 @@ from math import prod
 from operator import or_
 from typing import Callable, Iterable, Mapping
 
-from .core import _is_int
+from .core import _check_integer, _is_int
 
 _FAM_Z = 0
 _FAM_W = 1
@@ -390,8 +390,7 @@ class SparsePolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePolynomial":
-        negated = {k: -c for k, c in self._terms.items()}
-        return SparsePolynomial._raw(self._ring, self._bits, negated)
+        return self * -1
 
     def __sub__(self, other: "PolyLike") -> "SparsePolynomial":
         q = _coerce(other)
@@ -406,12 +405,6 @@ class SparsePolynomial:
         return q + (-self)
 
     def __mul__(self, other: "PolyLike") -> "SparsePolynomial":
-        if _is_int(other):
-            if other == 0:
-                return _ZERO
-            return SparsePolynomial._raw(
-                self._ring, self._bits, {k: c * other for k, c in self._terms.items()}
-            )
         q = _coerce(other)
         if q is None:
             return NotImplemented
@@ -597,32 +590,30 @@ def poly(value: PolyLike) -> SparsePolynomial:
     return p
 
 
-def _check_integer(value: object, name: object, key: object = None) -> None:
-    """Refuse a value that is not an ``int``, or is a ``bool``, naming where it sat."""
-    if not _is_int(value):
-        where = name if key is None else f"{name}[{key!r}]"
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-
-
 class ParameterAssignment(namedtuple("_Values", "z_val w_val y_vals x_vals")):
     """Integer values for every variable a polynomial may mention; omitted maps start empty.
 
     Every value must be an ``int`` and not a ``bool``; anything else is
-    refused with a ``ValueError`` naming its field.
+    refused with a ``ValueError`` naming its field, by ``_replace`` too.
+    The assignment keeps copies of the maps it is given and checks those,
+    so a later edit of the caller's maps changes nothing here.
     """
 
     __slots__ = ()
 
     def __new__(cls, z_val: int = 0, w_val: int = 0, y_vals: Mapping[int, int] | None = None,
                 x_vals: Mapping[tuple[int, int], int] | None = None) -> "ParameterAssignment":
-        y_vals = {} if y_vals is None else y_vals
-        x_vals = {} if x_vals is None else x_vals
+        y_vals, x_vals = dict(y_vals or {}), dict(x_vals or {})
         _check_integer(z_val, "z_val")
         _check_integer(w_val, "w_val")
         for field, values in (("y_vals", y_vals), ("x_vals", x_vals)):
             for key, value in values.items():
                 _check_integer(value, field, key)
         return super().__new__(cls, z_val, w_val, y_vals, x_vals)
+
+    @classmethod
+    def _make(cls, fields: Iterable[object]) -> "ParameterAssignment":
+        return cls(*fields)  # so that _replace is checked too
 
     def value_of(self, v: Variable) -> int:
         try:

@@ -63,7 +63,7 @@ from itertools import combinations
 from operator import add, mul
 from typing import Iterable, Iterator, Literal, Mapping
 
-from .core import SizesLike, _check_z, _is_int, as_car_sizes
+from .core import SizesLike, _check_integer, _check_z, _is_int, as_car_sizes
 from .counting import (
     CountReport,
     IndexSet,
@@ -78,7 +78,6 @@ from .poly import (
     Variable,
     W,
     Z,
-    _check_integer,
     _renamed,
     _sum_of_products,
     _unchecked_variable,
@@ -197,6 +196,13 @@ def _check_identity(identity: str, A: IndexSet) -> None:
             raise ValueError("the head-factor identity needs a nonempty ground set")
     elif identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
+
+
+def _check_trials(trials: object) -> None:
+    """The one check of a trial count: an ``int`` >= 1."""
+    _check_integer(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
 
 
 def identity_sides(
@@ -391,12 +397,8 @@ def _trial_sides(
     """The exact ``(lhs, rhs)`` of each trial, at points drawn from ``seed``.
 
     The one place the trials are seeded: trial k evaluates the k-th
-    assignment drawn from ``random.Random(seed)``.  On the empty ground set
-    every identity is 1 = 1, yielded once.
+    assignment drawn from ``random.Random(seed)``.
     """
-    if not A:
-        yield 1, 1
-        return
     rng = random.Random(seed)
     for _ in range(trials):
         yield identity_value_sides(identity, A, ParameterAssignment.random_for(A, rng), omit=omit)
@@ -423,15 +425,12 @@ def random_identity_check(
     2*10^6 + 1 integers drawn, so by the Schwartz--Zippel lemma a false
     identity passes one trial with probability <= (|A| + 1) / (2*10^6 + 1),
     and ``trials`` independent trials with at most that bound raised to the
-    power ``trials``.  On the empty ground set every identity degenerates to
-    1 = 1 and the answer is True for any seed.
+    power ``trials``.  As in every other entry point, ``easy`` needs a
+    nonempty A; on the empty set both convolutions are 1 = 1 at every point.
     """
     A = _as_index_set(A)
-    if identity not in _IDENTITIES:
-        raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
-    _check_integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    _check_identity(identity, A)
+    _check_trials(trials)
     _check_integer(seed, "seed")
     omit = _omitted_split(identity, A, omit)
     return all(lhs == rhs for lhs, rhs in _trial_sides(identity, A, trials, seed, omit))

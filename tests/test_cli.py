@@ -354,6 +354,27 @@ class TestVerify:
         digest = "03dd6c3d2817845215ce4327810bf5630bab6f88ce65564a1a358f033bdd20e7"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "verify sheffer --random --n-max 2",
+                "102f091d353e2b62d476e99b2fea77bfb03bdb0b1a8e67068d722b298e919ea5",
+            ),
+            (
+                "verify all --random --n-max 2 --trials 3",
+                "8edfbfdcdb4439bf93cb5a5dd0dda58021ab3a7ce6b7909cecaecc9215b67d66",
+            ),
+        ],
+    )
+    def test_randomized_empty_set_rows_are_pinned(self, capsys, argv, digest):
+        """sha256 of stdout, recorded while a randomized trial on the empty set
+        was answered 1 = 1 without evaluating either side; the rows of the empty
+        set now evaluate both, and print the same bytes."""
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_symbolic_rows_fingerprint_both_sides(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "easy", "--set", "1,2", "--format", "tsv")
         assert code == 0

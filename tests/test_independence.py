@@ -16,9 +16,14 @@ formats one.
 ``poly`` keeps no module-level memo: it uses neither ``functools.lru_cache``
 nor ``functools.cache``, so every memo it fills lives on a polynomial and is
 freed with it.
+
+Each refusal is written once: no two ``raise`` statements in the package
+give the same message text, so a check that two entry points share is one
+function they both call.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -192,3 +197,44 @@ def test_the_cache_scan_sees_each_use(source):
 
 def test_the_cache_scan_passes_a_plain_dict_named_cache():
     assert _cache_uses("cache = {}\ncache[1] = 2\n") == []
+
+
+def _raise_messages(source: str) -> list[str]:
+    """The message text of each ``raise`` in ``source`` whose exception is called with a
+    string first: an f-string's constant parts, with ``{}`` for each field."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.JoinedStr):
+            found.append("".join(
+                part.value if isinstance(part, ast.Constant) else "{}" for part in message.values
+            ))
+        elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+            found.append(message.value)
+    return found
+
+
+def _shared_messages(sources: list[str]) -> list[str]:
+    """Every message text that more than one ``raise`` across ``sources`` gives."""
+    texts = Counter(text for source in sources for text in _raise_messages(source))
+    return sorted(text for text, count in texts.items() if count > 1)
+
+
+def test_every_refusal_is_written_once():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert _shared_messages(sources) == []
+
+
+def test_the_message_scan_sees_a_shared_text():
+    source = (
+        'def f(n):\n    if n < 1:\n        raise ValueError(f"n must be >= 1, got {n!r}")\n'
+        'def g(k):\n    raise TypeError(f"n must be >= 1, got {k}") from None\n'
+        'raise ValueError("plain")\n'
+    )
+    assert sorted(_raise_messages(source)) == ["n must be >= 1, got {}"] * 2 + ["plain"]
+    assert _shared_messages([source]) == ["n must be >= 1, got {}"]
+    assert _shared_messages([source, 'raise KeyError("plain")\n']) == [
+        "n must be >= 1, got {}", "plain"
+    ]

@@ -739,3 +739,63 @@ def test_sum_of_products_matches_the_literal_sum(pairs):
     assert got.terms == ref and str(got) == _literal_render(ref)
     assert (got._ring, got._bits) == _literal_layout(ref)
     assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+def test_scalar_products_and_negation_go_through_the_one_kernel(monkeypatch):
+    """``p * 3``, ``3 * p``, ``p * 0``, ``-p`` and ``p - q`` each call ``_sum_of_products``,
+    and each gives the literal reference's terms, ring and width."""
+    poly_module = importlib.import_module("parkseq.poly")
+    p = _built(({Z: 1, y_var(1): 130}, 2), ({x_var(1, 2): 1}, -1), ({}, 5))  # width 16
+    q = _built(({y_var(2): 1}, 7), ({x_var(1, 2): 1}, -1))
+    ref_p, ref_q = p.terms, q.terms
+    calls = []
+    kernel = poly_module._sum_of_products
+
+    def counted(pairs):
+        calls.append(pairs)
+        return kernel(pairs)
+
+    monkeypatch.setattr(poly_module, "_sum_of_products", counted)
+    cases = [
+        (lambda: p * 3, {m: 3 * c for m, c in ref_p.items()}),
+        (lambda: 3 * p, {m: 3 * c for m, c in ref_p.items()}),
+        (lambda: p * 0, {}),
+        (lambda: -p, {m: -c for m, c in ref_p.items()}),
+        (lambda: p - q, _ref_add(ref_p, {m: -c for m, c in ref_q.items()})),
+    ]
+    for make, ref in cases:
+        calls.clear()
+        got = make()
+        assert calls
+        assert got.terms == ref and (got._ring, got._bits) == _literal_layout(ref)
+        assert str(got) == _literal_render(ref) and got == SparsePolynomial(ref)
+
+
+def test_an_assignment_keeps_copies_of_its_maps():
+    """Editing the maps an assignment was built from, after it is built, changes
+    neither the assignment nor a value it gives."""
+    y, x = {1: 2, 2: 3}, {(1, 2): 1}
+    assignment = ParameterAssignment(1, 0, y, x)
+    p = poly(y_var(1)) + y_var(2) + x_var(1, 2)
+    y[1], x[(1, 2)] = True, 1.5
+    y[3] = 4
+    assert assignment == (1, 0, {1: 2, 2: 3}, {(1, 2): 1})
+    assert p.evaluate(assignment) == 6
+    assert assignment.y_vals is not y and assignment.x_vals is not x
+
+
+@pytest.mark.parametrize(
+    "field, value, where, bad",
+    [
+        ("z_val", True, "z_val", True),
+        ("y_vals", {1: 1.5}, "y_vals[1]", 1.5),
+        ("x_vals", {(1, 2): False}, "x_vals[(1, 2)]", False),
+    ],
+    ids=["z_val", "y_vals", "x_vals"],
+)
+def test_an_assignment_replace_is_checked_too(field, value, where, bad):
+    assignment = ParameterAssignment(1, 0, {1: 2}, {(1, 2): 1})
+    assert assignment._replace(z_val=5) == (5, 0, {1: 2}, {(1, 2): 1})
+    message = f"{where} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        assignment._replace(**{field: value})

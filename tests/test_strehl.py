@@ -446,7 +446,36 @@ class TestRandomizedCheck:
     @pytest.mark.parametrize("identity", ["easy", "sheffer", "binomial"])
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_empty_set_is_trivially_true(self, identity, seed):
-        assert random_identity_check(identity, (), seed=seed)
+        if identity == "easy":
+            with pytest.raises(ValueError, match="head-factor identity needs a nonempty ground set"):
+                random_identity_check(identity, (), seed=seed)
+        else:
+            assert random_identity_check(identity, (), seed=seed)
+
+    def test_every_entry_point_refuses_easy_on_the_empty_set(self):
+        message = "^the head-factor identity needs a nonempty ground set$"
+        for check in (
+            lambda: identity_sides("easy", ()),
+            lambda: identity_value_sides("easy", (), ParameterAssignment()),
+            lambda: random_identity_check("easy", ()),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check()
+
+    @pytest.mark.parametrize("identity", ["sheffer", "binomial"])
+    def test_the_empty_set_takes_the_general_route(self, identity, monkeypatch):
+        """Each trial on the empty set evaluates both sides, 1 = 1 at every point."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return identity_value_sides(*args, **kwargs)
+
+        monkeypatch.setattr(strehl, "identity_value_sides", counted)
+        assert random_identity_check(identity, (), trials=7, seed=5)
+        assert len(calls) == 7
+        assignment = ParameterAssignment.random_for((), random.Random(5))
+        assert identity_value_sides(identity, (), assignment) == (1, 1)
 
     @pytest.mark.parametrize("identity", ["easy", "sheffer", "binomial"])
     def test_holds_on_midsize_sets(self, identity):
