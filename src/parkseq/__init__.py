@@ -21,12 +21,10 @@ from .counting import (
     DEFAULT_BUDGET,
     CountReport,
     EnumerationBudgetError,
-    IndexSet,
     count_by_enumeration,
     count_by_formula,
     count_no_trailer,
     count_report,
-    partitions_into_two,
 )
 from .poly import (
     ParameterAssignment,
@@ -41,10 +39,12 @@ from .poly import (
 )
 from .strehl import (
     SYMBOLIC_BUDGET,
+    IndexSet,
     abel_rothe_specialize,
     f_as_t_specialization,
     identity_sides,
     identity_value_sides,
+    partitions_into_two,
     random_identity_check,
     s_poly,
     s_value,

@@ -20,22 +20,12 @@ from typing import Callable, Iterable, Iterator
 
 from .core import Parked, as_car_sizes, simulate_parking
 from .counting import (
-    DEFAULT_BUDGET,
-    EnumerationBudgetError,
-    IndexSet,
-    _check_budget,
-    _check_partition_count,
-    count_by_formula,
-    count_report,
+    DEFAULT_BUDGET, EnumerationBudgetError, _check_budget, count_by_formula, count_report,
 )
 from .poly import SparsePolynomial
 from .strehl import (
-    SYMBOLIC_BUDGET,
-    _check_trials,
-    _trial_sides,
-    f_as_t_specialization,
-    identity_sides,
-    verify_recurrence,
+    _IDENTITIES, SYMBOLIC_BUDGET, IndexSet, _check_identity, _check_partition_count, _check_trials,
+    _trial_sides, f_as_t_specialization, identity_sides, verify_recurrence,
 )
 
 EXIT_OK = 0
@@ -215,14 +205,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"invalid sweep ranges: n_max={args.n_max} y_max={args.y_max} z_max={args.z_max}"
         )
     ground = args.ground = None if args.ground is None else IndexSet(args.ground)  # rows read it
-    if ground is not None and not ground and args.suite in ("easy", "all"):
-        raise ValueError("the easy identity needs a nonempty --set")
-    # rows go out as they are computed, so every refusal a sweep could reach comes first
-    if args.suite in ("recurrence", "all"):
-        _check_partition_count(args.n_max)
-    if args.suite in ("sheffer", "binomial", "all"):
-        _check_partition_count(args.n_max if ground is None else len(ground))
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    # rows go out as they are computed, so every refusal a sweep could reach comes first
+    for suite in suites:
+        if ground is not None and suite in _IDENTITIES:
+            _check_identity(suite, ground)
+        elif suite in ("recurrence", "sheffer", "binomial"):
+            _check_partition_count(args.n_max)
     rows = (row for suite in suites for row in _SUITE_ROWS[suite](args, suite))
     return EXIT_OK if _write(args.fmt, VERIFY_COLUMNS, _verify_line, rows) else EXIT_FAILURE
 

@@ -1,21 +1,21 @@
 """Counting parking sequences: the closed-form product and a brute-force oracle.
 
-Neither imports the polynomial engine (``poly``, ``strehl``), so both stay
-independent checks of the routes built on it, the decomposition recurrence
-included.  Everything runs on exact arbitrary-precision integers; the
-product grows too fast for anything else.
+Only those two and the oracle's budget live here; ground sets and their
+splits are ``strehl``'s.  Neither imports the polynomial engine (``poly``,
+``strehl``), so both stay independent checks of the routes built on it, the
+decomposition recurrence included.  Everything runs on exact
+arbitrary-precision integers; the product grows too fast for anything else.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .core import SizesLike, _check_integer, _check_lot, _check_z, _decimal, _is_int, as_car_sizes
+from .core import SizesLike, _check_integer, _check_lot, _check_z, _decimal, as_car_sizes
 
 DEFAULT_BUDGET = 4 * 10**6
-PARTITION_LIMIT = 30
 
 
 class EnumerationBudgetError(Exception):
@@ -42,33 +42,6 @@ class EnumerationBudgetError(Exception):
     def __reduce__(self):
         # rebuilt from its five values, so it pickles and copies like the other results
         return type(self), (self.m, self.n, self.total, self.budget, self.states)
-
-
-class IndexSet(tuple):
-    """Strictly increasing tuple of positive integers.
-
-    The ground set for decompositions: element order is the original car
-    order, so a block of cars picked through an IndexSet keeps its order.
-    """
-
-    def __new__(cls, elems: Iterable[int] = ()) -> "IndexSet":
-        t = tuple(elems)
-        for e in t:
-            if not _is_int(e) or e < 1:
-                raise ValueError(f"index sets hold integers >= 1, got {e!r}")
-        for a, b in zip(t, t[1:]):
-            if a >= b:
-                raise ValueError(f"index set must be strictly increasing, got {t}")
-        return super().__new__(cls, t)
-
-    @classmethod
-    def first(cls, n: int) -> "IndexSet":
-        """The set {1, ..., n}."""
-        return cls(range(1, n + 1))
-
-
-def _as_index_set(A: IndexSet | Iterable[int]) -> IndexSet:
-    return A if isinstance(A, IndexSet) else IndexSet(A)
 
 
 class CountReport(namedtuple("_Counts", "enumerated formula match tuples_scanned")):
@@ -283,31 +256,3 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
             raise EnumerationBudgetError(m, n, m**n, budget, states)
     parked, scanned, _ = _search(cars.sizes, z, m)
     return CountReport.compare(parked, count_by_formula(cars, z), scanned)
-
-
-def partitions_into_two(
-    ground: IndexSet | Iterable[int],
-) -> Iterator[tuple[IndexSet, IndexSet]]:
-    """Every ordered pair (left, right) of disjoint sets covering ``ground``.
-
-    Yields exactly ``2**len(ground)`` pairs, in ascending order of the left
-    set's characteristic bitmask (bit b set means the b-th smallest element
-    belongs to the left set).
-    """
-    g = _as_index_set(ground)
-    _check_partition_count(len(g))
-    return _partition_stream(g)
-
-
-def _check_partition_count(k: int) -> None:
-    """Refuse to sum over the ``2**k`` splits of a ground set past ``PARTITION_LIMIT``."""
-    if k > PARTITION_LIMIT:
-        raise ValueError(f"refusing to stream 2^{k} decompositions (limit 2^{PARTITION_LIMIT})")
-
-
-def _partition_stream(g: IndexSet) -> Iterator[tuple[IndexSet, IndexSet]]:
-    for mask in range(1 << len(g)):
-        left = IndexSet(e for b, e in enumerate(g) if mask >> b & 1)
-        right = IndexSet(e for b, e in enumerate(g) if not mask >> b & 1)
-        yield left, right
-

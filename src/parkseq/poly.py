@@ -51,6 +51,7 @@ from collections import namedtuple
 from functools import partial, reduce
 from math import prod
 from operator import or_
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .core import _check_integer, _is_int
@@ -595,15 +596,15 @@ class ParameterAssignment(namedtuple("_Values", "z_val w_val y_vals x_vals")):
 
     Every value must be an ``int`` and not a ``bool``; anything else is
     refused with a ``ValueError`` naming its field, by ``_replace`` too.
-    The assignment keeps copies of the maps it is given and checks those,
-    so a later edit of the caller's maps changes nothing here.
+    The assignment keeps read-only copies of the maps it is given and checks
+    those, so no edit of the caller's maps or of its own changes it.
     """
 
     __slots__ = ()
 
     def __new__(cls, z_val: int = 0, w_val: int = 0, y_vals: Mapping[int, int] | None = None,
                 x_vals: Mapping[tuple[int, int], int] | None = None) -> "ParameterAssignment":
-        y_vals, x_vals = dict(y_vals or {}), dict(x_vals or {})
+        y_vals, x_vals = (MappingProxyType(dict(m or {})) for m in (y_vals, x_vals))
         _check_integer(z_val, "z_val")
         _check_integer(w_val, "w_val")
         for field, values in (("y_vals", y_vals), ("x_vals", x_vals)):
@@ -614,6 +615,13 @@ class ParameterAssignment(namedtuple("_Values", "z_val w_val y_vals x_vals")):
     @classmethod
     def _make(cls, fields: Iterable[object]) -> "ParameterAssignment":
         return cls(*fields)  # so that _replace is checked too
+
+    def __getnewargs__(self) -> tuple:  # the maps as dicts, so that it pickles and copies
+        return self.z_val, self.w_val, dict(self.y_vals), dict(self.x_vals)
+
+    def __repr__(self) -> str:
+        z, w, y, x = self.__getnewargs__()
+        return f"{type(self).__name__}(z_val={z!r}, w_val={w!r}, y_vals={y!r}, x_vals={x!r})"
 
     def value_of(self, v: Variable) -> int:
         try:

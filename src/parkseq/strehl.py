@@ -1,5 +1,7 @@
 """Two families of multi-parameter polynomials and their convolution identities.
 
+Ground sets (``IndexSet``), their splits and ``PARTITION_LIMIT`` live here,
+and ``_check_identity`` alone decides which ground sets an identity accepts.
 For a finite index set A, each member a of A has one linear form
 
     z + (sum of y_j over j in A with j <= a) + (sum of x_{a,j} over j in A with j > a).
@@ -64,14 +66,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Literal, Mapping
 
 from .core import SizesLike, _check_integer, _check_z, _is_int, as_car_sizes
-from .counting import (
-    CountReport,
-    IndexSet,
-    _as_index_set,
-    _check_partition_count,
-    count_by_formula,
-    partitions_into_two,
-)
+from .counting import CountReport, count_by_formula
 from .poly import (
     ParameterAssignment,
     SparsePolynomial,
@@ -87,9 +82,63 @@ from .poly import (
 )
 
 SYMBOLIC_BUDGET = 5
+PARTITION_LIMIT = 30  # the most members whose 2^k splits are summed
 _BLOCK = 10  # _split_sum lists one value per subset of A's _BLOCK smallest members
 IdentityName = Literal["easy", "sheffer", "binomial"]
 _IDENTITIES = ("easy", "sheffer", "binomial")
+
+
+class IndexSet(tuple):
+    """Strictly increasing tuple of positive integers: a ground set.
+
+    The families and their convolutions read a member's place among the
+    labels, so a ground set keeps its members in increasing order, and so
+    do both sides of each of its splits.
+    """
+
+    def __new__(cls, elems: Iterable[int] = ()) -> "IndexSet":
+        t = tuple(elems)
+        for e in t:
+            if not _is_int(e) or e < 1:
+                raise ValueError(f"index sets hold integers >= 1, got {e!r}")
+        for a, b in zip(t, t[1:]):
+            if a >= b:
+                raise ValueError(f"index set must be strictly increasing, got {t}")
+        return super().__new__(cls, t)
+
+    @classmethod
+    def first(cls, n: int) -> "IndexSet":
+        """The set {1, ..., n}."""
+        return cls(range(1, n + 1))
+
+
+def _as_index_set(A: IndexSet | Iterable[int]) -> IndexSet:
+    return A if isinstance(A, IndexSet) else IndexSet(A)
+
+
+def partitions_into_two(ground: IndexSet | Iterable[int]) -> Iterator[tuple[IndexSet, IndexSet]]:
+    """Every ordered pair (left, right) of disjoint sets covering ``ground``.
+
+    Yields exactly ``2**len(ground)`` pairs, in ascending order of the left
+    set's characteristic bitmask (bit b set means the b-th smallest element
+    belongs to the left set).
+    """
+    g = _as_index_set(ground)
+    _check_partition_count(len(g))
+    return _partition_stream(g)
+
+
+def _check_partition_count(k: int) -> None:
+    """Refuse to sum over the ``2**k`` splits of a ground set past ``PARTITION_LIMIT``."""
+    if k > PARTITION_LIMIT:
+        raise ValueError(f"refusing to stream 2^{k} decompositions (limit 2^{PARTITION_LIMIT})")
+
+
+def _partition_stream(g: IndexSet) -> Iterator[tuple[IndexSet, IndexSet]]:
+    for mask in range(1 << len(g)):
+        left = IndexSet(e for b, e in enumerate(g) if mask >> b & 1)
+        right = IndexSet(e for b, e in enumerate(g) if not mask >> b & 1)
+        yield left, right
 
 
 def _family(family: str, at, forms: list):
@@ -191,10 +240,14 @@ def s_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
 
 
 def _check_identity(identity: str, A: IndexSet) -> None:
+    """The one check of the ground sets an identity accepts: refuses an unknown identity,
+    ``easy`` on the empty set and a convolution on more than ``PARTITION_LIMIT`` members."""
     if identity == "easy":
         if not A:
             raise ValueError("the head-factor identity needs a nonempty ground set")
-    elif identity not in _IDENTITIES:
+    elif identity in _IDENTITIES:
+        _check_partition_count(len(A))
+    else:
         raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
 
 
@@ -367,8 +420,8 @@ def identity_value_sides(
 
     A convolution's right side is summed by ``_split_sum``, a blocked
     subset transform whose lists of at most 2^``_BLOCK`` values multiply
-    out the splits of A's smallest members together; a set of more than
-    ``PARTITION_LIMIT`` members is refused before any work.
+    out the splits of A's smallest members together; ``_check_identity``
+    refuses a set of more than ``PARTITION_LIMIT`` members before any work.
 
     ``omit`` drops a single (left, right) decomposition from a convolution
     sum; dropping any term must break the identity, which is how the
@@ -382,7 +435,6 @@ def identity_value_sides(
     if identity == "easy":
         forms = _forms(A, z, y, x)
         return (z + sum(y[j] for j in A)) * _family("t", z, forms), z * math.prod(forms)
-    _check_partition_count(len(A))
     family = "s" if identity == "sheffer" else "t"
     rhs = _split_sum(A, family, z, w, y, x)
     if omit is not None:  # taking its term back out equals leaving the split out
@@ -425,8 +477,10 @@ def random_identity_check(
     2*10^6 + 1 integers drawn, so by the Schwartz--Zippel lemma a false
     identity passes one trial with probability <= (|A| + 1) / (2*10^6 + 1),
     and ``trials`` independent trials with at most that bound raised to the
-    power ``trials``.  As in every other entry point, ``easy`` needs a
-    nonempty A; on the empty set both convolutions are 1 = 1 at every point.
+    power ``trials``.  As in every entry point, ``_check_identity`` refuses
+    ``easy`` on the empty set and a convolution past ``PARTITION_LIMIT``
+    members before any point is drawn; on the empty set both convolutions
+    are 1 = 1 at every point.
     """
     A = _as_index_set(A)
     _check_identity(identity, A)

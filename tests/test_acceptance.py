@@ -8,15 +8,12 @@ canonical-polynomial equality; there are no tolerances to tune.
 from itertools import combinations, product
 
 from parkseq.core import TRAILER, Parked, is_parking_sequence, simulate_parking
-from parkseq.counting import (
-    IndexSet,
-    count_by_enumeration,
-    count_by_formula,
-    partitions_into_two,
-)
+from parkseq.counting import count_by_enumeration, count_by_formula
 from parkseq.strehl import (
+    IndexSet,
     f_as_t_specialization,
     identity_sides,
+    partitions_into_two,
     random_identity_check,
     verify_recurrence,
 )

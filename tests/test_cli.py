@@ -410,7 +410,8 @@ class TestVerify:
         for module in ("parkseq.strehl", "parkseq.cli"):
             monkeypatch.setattr(f"{module}.verify_recurrence", refuse)
         code, out, err = run_cli(capsys, "verify", suite, "--set", "")
-        assert (code, out, err) == (2, "", "error: the easy identity needs a nonempty --set\n")
+        message = "error: the head-factor identity needs a nonempty ground set\n"
+        assert (code, out, err) == (2, "", message)
 
     @pytest.mark.parametrize(
         "argv",
@@ -515,6 +516,41 @@ class TestVerify:
         code, out, err = run_cli(capsys, *argv)
         expected = "error: refusing to stream 2^31 decompositions (limit 2^30)\n"
         assert (code, out, err) == (2, "", expected)
+
+    @pytest.mark.parametrize(
+        "argv, callee, first_row",
+        [
+            (
+                ("verify", "specialization", "--n-max", "31", "--y-max", "1", "--z-max", "1"),
+                "f_as_t_specialization",
+                "specialization sizes=- z=1: lhs=1 rhs=1 match=true",
+            ),
+            (("verify", "easy", "--n-max", "31"), "identity_sides", "easy A={1} symbolic: lhs="),
+        ],
+        ids=["specialization", "easy"],
+    )
+    def test_a_sweep_that_reaches_no_split_is_not_refused(
+        self, capsys, monkeypatch, argv, callee, first_row
+    ):
+        """Whatever --n-max is: the sweep writes its first row, then is stopped."""
+
+        class Stop(Exception):
+            pass
+
+        real, calls = getattr(cli, callee), []
+
+        def once(*args, **kwargs):
+            if calls:
+                raise Stop
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, callee, once)
+        with pytest.raises(Stop):
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (out.startswith(first_row), out.count("\n"), err) == (True, 1, "")
+        assert out.endswith(" match=true\n")
 
 
 class TestTable:

@@ -16,7 +16,8 @@ from parkseq.core import (
     is_parking_sequence,
     simulate_parking,
 )
-from parkseq.counting import IndexSet, count_by_enumeration, count_by_formula, count_report
+from parkseq.counting import count_by_enumeration, count_by_formula, count_report
+from parkseq.strehl import IndexSet
 from parkseq.poly import SparsePolynomial, Variable, Z, monomial, x_var, y_var
 from parkseq.strehl import (
     abel_rothe_specialize,

@@ -15,15 +15,13 @@ from parkseq.counting import (
     DEFAULT_BUDGET,
     CountReport,
     EnumerationBudgetError,
-    IndexSet,
     count_by_enumeration,
     count_by_formula,
     count_no_trailer,
     count_report,
-    partitions_into_two,
 )
 from parkseq.counting import _comb_past, _search, _state_bound
-from parkseq.strehl import f_as_t_specialization, verify_recurrence
+from parkseq.strehl import IndexSet, f_as_t_specialization, partitions_into_two, verify_recurrence
 
 sizes_vectors = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 

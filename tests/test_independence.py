@@ -20,6 +20,10 @@ freed with it.
 Each refusal is written once: no two ``raise`` statements in the package
 give the same message text, so a check that two entry points share is one
 function they both call.
+
+Every private module-level name is read somewhere: each function, class or
+assignment whose name starts with ``_`` is loaded, imported or read as an
+attribute by some module of the package, so no helper outlives its callers.
 """
 
 import ast
@@ -238,3 +242,65 @@ def test_the_message_scan_sees_a_shared_text():
     assert _shared_messages([source, 'raise KeyError("plain")\n']) == [
         "n must be >= 1, got {}", "plain"
     ]
+
+
+def _private_definitions(source: str) -> list[str]:
+    """The private names ``source`` defines at module level: functions, classes
+    and assignment targets whose name starts with ``_`` but not ``__``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(source: str) -> tuple[set[str], dict[str, set[str]], set[str]]:
+    """What ``source`` reads: the names it loads, the names it imports from each
+    sibling module (``from .mod import ...``), and the attributes it reads."""
+    loads, imports, attributes = set(), {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            imports.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    return loads, imports, attributes
+
+
+def _unread_private_names(modules: dict[str, str]) -> list[str]:
+    """Every private module-level name, as ``module.name``, that its own module does
+    not load, no sibling imports from it, and no module reads as an attribute."""
+    reads = {name: _reads(source) for name, source in modules.items()}
+    attributes = set().union(*(r[2] for r in reads.values()))
+    unread = []
+    for module, source in modules.items():
+        imported = set().union(*(r[1].get(module, set()) for r in reads.values()))
+        read = reads[module][0] | imported | attributes
+        unread += [f"{module}.{name}" for name in _private_definitions(source) if name not in read]
+    return sorted(unread)
+
+
+def test_every_private_name_is_read_somewhere():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private_names(modules) == []
+
+
+def test_the_private_name_scan_sees_an_unread_helper():
+    source = (
+        "_LIMIT = 3\n_CACHE: dict = {}\n_A, (_B, _C) = 1, (2, 3)\n__all__ = []\n"
+        "def _helper():\n    return _LIMIT + _A\n"
+        "def _left_behind():\n    return _helper()\n"
+        "class _Box:\n    pass\n"
+    )
+    unread = ["mod._B", "mod._Box", "mod._C", "mod._CACHE", "mod._left_behind"]
+    assert _unread_private_names({"mod": source}) == unread
+    other = "from .mod import _C\nfrom . import mod\nmod._CACHE.clear()\n_left_behind = 1\n"
+    unread = ["mod._B", "mod._Box", "mod._left_behind", "other._left_behind"]
+    assert _unread_private_names({"mod": source, "other": other}) == unread
+    # a name read in one module does not count for a copy of it left in another
+    copy = "def _helper():\n    return 0\n"
+    assert _unread_private_names({"mod": source, "copy": copy})[0] == "copy._helper"

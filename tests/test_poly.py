@@ -784,6 +784,30 @@ def test_an_assignment_keeps_copies_of_its_maps():
     assert assignment.y_vals is not y and assignment.x_vals is not x
 
 
+EDITS = {
+    "item assignment": lambda m, key: m.__setitem__(key, 1.5),
+    "del": lambda m, key: m.__delitem__(key),
+    "update": lambda m, key: m.update({key: 1.5}),
+    "pop": lambda m, key: m.pop(key),
+    "clear": lambda m, key: m.clear(),
+    "setdefault": lambda m, key: m.setdefault(key, 1.5),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+def test_an_assignment_refuses_edits_of_its_own_maps(edit):
+    """The maps an assignment hands out are read-only, so no edit skips the
+    integer check: t over {1, 2} at z = 1, y = (2, 3), x_{1,2} = 1 stays 4."""
+    assignment = ParameterAssignment(1, 0, {1: 2, 2: 3}, {(1, 2): 1})
+    t = poly(Z) * (poly(Z) + y_var(1) + x_var(1, 2))
+    assert t.evaluate(assignment) == 4
+    for values, key in ((assignment.y_vals, 1), (assignment.x_vals, (1, 2))):
+        with pytest.raises((TypeError, AttributeError)):
+            edit(values, key)
+    assert assignment == (1, 0, {1: 2, 2: 3}, {(1, 2): 1})
+    assert t.evaluate(assignment) == 4
+
+
 @pytest.mark.parametrize(
     "field, value, where, bad",
     [

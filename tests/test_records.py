@@ -123,8 +123,10 @@ def test_count_report_replace_is_checked_too():
 
 def test_default_assignments_share_no_mutable_state():
     first, second = ParameterAssignment(), ParameterAssignment()
-    first.y_vals[1] = 7
-    first.x_vals[1, 2] = 7
+    with pytest.raises(TypeError):  # the maps refuse edits
+        first.y_vals[1] = 7
+    with pytest.raises(TypeError):
+        first.x_vals[1, 2] = 7
     assert (second.y_vals, second.x_vals) == ({}, {})
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from parkseq.counting import PARTITION_LIMIT, IndexSet, count_by_formula, partitions_into_two
+from parkseq.counting import count_by_formula
 from parkseq import strehl
 from parkseq.poly import (
     ParameterAssignment,
@@ -26,6 +26,8 @@ from parkseq.poly import (
     y_var,
 )
 from parkseq.strehl import (
+    PARTITION_LIMIT,
+    IndexSet,
     _forms,
     _product,
     _symbols,
@@ -33,6 +35,7 @@ from parkseq.strehl import (
     f_as_t_specialization,
     identity_sides,
     identity_value_sides,
+    partitions_into_two,
     random_identity_check,
     s_poly,
     s_value,
@@ -651,6 +654,28 @@ class TestSplitSearch:
         message = f"refusing to stream 2^{k} decompositions (limit 2^{PARTITION_LIMIT})"
         with pytest.raises(ValueError, match=re.escape(message)):
             identity_value_sides(identity, range(1, k + 1), ParameterAssignment())
+
+    @pytest.mark.parametrize("identity", ["sheffer", "binomial"])
+    def test_every_identity_entry_point_refuses_past_the_limit_before_any_work(
+        self, identity, monkeypatch
+    ):
+        """No point is drawn and no side is built: the limit is checked first,
+        before the budget, the trial count and the seed."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work began before the split limit was checked")
+
+        monkeypatch.setattr(ParameterAssignment, "random_for", fail)
+        monkeypatch.setattr(strehl, "_sides", fail)
+        k = PARTITION_LIMIT + 1
+        message = f"refusing to stream 2^{k} decompositions (limit 2^{PARTITION_LIMIT})"
+        whole, A = f"^{re.escape(message)}$", range(1, k + 1)
+        with pytest.raises(ValueError, match=whole):
+            random_identity_check(identity, A, trials=1)
+        with pytest.raises(ValueError, match=whole):
+            random_identity_check(identity, A, trials=0, seed=1.5)
+        with pytest.raises(ValueError, match=whole):
+            identity_sides(identity, A)
 
 
 class TestCountingSpecialization:

@@ -31,3 +31,18 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     assert tracer.calls["poly.mul"] == 2
     assert dict(vars(SparsePolynomial)) == methods
     assert parkseq.strehl.t_poly is parkseq.t_poly
+
+
+def test_tracer_counts_the_splits_of_a_cold_side(monkeypatch):
+    """The split counter follows ``partitions_into_two`` into the module that holds it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    parkseq.strehl._sides.cache_clear()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        parkseq.identity_sides("sheffer", (1, 2))
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["counting.partitions.splits"] == 4
