@@ -18,13 +18,11 @@ from contextlib import contextmanager
 from itertools import combinations, cycle, islice, product
 from typing import Callable, Iterable, Iterator
 
-from .core import Parked, as_car_sizes, simulate_parking
-from .counting import (
-    DEFAULT_BUDGET, EnumerationBudgetError, _check_budget, count_by_formula, count_report,
-)
+from .core import Parked, _check_count, as_car_sizes, simulate_parking
+from .counting import DEFAULT_BUDGET, EnumerationBudgetError, count_by_formula, count_report
 from .poly import SparsePolynomial
 from .strehl import (
-    _IDENTITIES, SYMBOLIC_BUDGET, IndexSet, _check_identity, _check_partition_count, _check_trials,
+    _IDENTITIES, SYMBOLIC_BUDGET, IndexSet, _check_identity, _check_partition_count,
     _trial_sides, f_as_t_specialization, identity_sides, verify_recurrence,
 )
 
@@ -124,7 +122,7 @@ def _count_line(r: dict) -> str:
 
 def cmd_count(args: argparse.Namespace) -> int:
     budget = _default_budget() if args.budget is None else args.budget
-    _check_budget(budget)
+    _check_count(budget, "budget")
     formula = count_by_formula(args.sizes, args.z)
     record = {"sizes": list(args.sizes), "z": args.z, "formula": formula}
     if args.do_enumerate:
@@ -199,7 +197,7 @@ _SUITE_ROWS = dict(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
+    _check_count(args.trials, "trials")
     if args.n_max < 0 or args.y_max < 1 or args.z_max < 1:
         raise ValueError(
             f"invalid sweep ranges: n_max={args.n_max} y_max={args.y_max} z_max={args.z_max}"
@@ -219,12 +217,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if not 0 <= args.n_max <= 12:
         raise ValueError(f"table needs 0 <= n_max <= 12, got {args.n_max}")
-    if args.z_max < 1:
-        raise ValueError(f"z_max must be >= 1, got {args.z_max}")
+    _check_count(args.z_max, "z_max")
     if args.family == "pattern" and not args.pattern:
         raise ValueError("--pattern is required for the pattern family")
-    if args.family == "const" and args.car < 1:
-        raise ValueError(f"--car must be >= 1, got {args.car}")
+    if args.family == "const":
+        _check_count(args.car, "--car")
     pattern = {"ones": (1,), "const": (args.car,)}.get(args.family, args.pattern)
 
     def sizes_for(n: int) -> tuple[int, ...]:

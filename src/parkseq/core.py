@@ -34,6 +34,13 @@ def _check_integer(value: object, name: object, key: object = None) -> None:
         raise ValueError(f"{where} must be an integer, got {value!r}")
 
 
+def _check_count(value: object, name: str) -> None:
+    """The one check of a count (a budget, a trial count, a table bound): an ``int`` >= 1."""
+    _check_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
 class CarSizeVector(tuple):
     """Ordered car lengths, one positive integer per arriving car, as a tuple."""
 

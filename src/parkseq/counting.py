@@ -13,7 +13,7 @@ from collections import namedtuple
 from math import comb
 from typing import Iterable
 
-from .core import SizesLike, _check_integer, _check_lot, _check_z, _decimal, as_car_sizes
+from .core import SizesLike, _check_count, _check_lot, _check_z, _decimal, as_car_sizes
 
 DEFAULT_BUDGET = 4 * 10**6
 
@@ -177,33 +177,20 @@ def _state_bound(sizes: tuple[int, ...]) -> int:
     those k blocks in one of M_k left-to-right orders of their sizes (a
     multinomial) with the L - Y_k empty spots spread over k + 1 gaps.  The
     bound sums the smaller of the two over k < n; the second is exact for
-    equal sizes.
+    equal sizes.  C(L, Y_k) is at least 2^r, r = min(Y_k, L - Y_k), so once
+    2^r passes the block count the binomial, which on a fleet of large cars
+    takes seconds, is not computed.
     """
     free = sum(sizes)
     bound = placed = 0
     orders = 1
     for k, y in enumerate(sizes):
         blocks = orders * comb(free - placed + k, k)
-        bound += min(blocks, _comb_past(free, placed, blocks))
+        rows = min(placed, free - placed)
+        bound += blocks if rows >= blocks.bit_length() else min(blocks, comb(free, placed))
         orders = orders * (k + 1) // sizes[: k + 1].count(y)
         placed += y
     return bound
-
-
-def _comb_past(n: int, k: int, cap: int) -> int:
-    """C(n, k), or a number past ``cap`` as soon as the product passes it.
-
-    ``math.comb`` on the free length of a fleet of large cars can take
-    seconds; the partial products C(n - k + j, j) rise with j, so the loop
-    stops after at most about log2(cap) steps.
-    """
-    k = min(k, n - k)
-    c = 1
-    for j in range(1, k + 1):
-        c = c * (n - k + j) // j
-        if c > cap:
-            break
-    return c
 
 
 def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET) -> int:
@@ -220,13 +207,6 @@ def count_by_enumeration(sizes: SizesLike, z: int, *, budget: int | None = DEFAU
     ``budget=None`` to lift the guard; see ``count_report``).
     """
     return count_report(sizes, z, budget=budget).enumerated
-
-
-def _check_budget(budget: object) -> None:
-    """Refuse an enumeration budget that is not an ``int`` >= 1; a ``bool`` is no budget."""
-    _check_integer(budget, "budget")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
 
 
 def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGET) -> CountReport:
@@ -250,7 +230,7 @@ def count_report(sizes: SizesLike, z: int, *, budget: int | None = DEFAULT_BUDGE
     n = cars.n
     _check_lot(m, "enumerate")
     if budget is not None:
-        _check_budget(budget)
+        _check_count(budget, "budget")
         states = _state_bound(cars.sizes)
         if states * m > budget:
             raise EnumerationBudgetError(m, n, m**n, budget, states)

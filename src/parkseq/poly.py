@@ -28,12 +28,13 @@ and ``terms`` is the map keyed by those tuples.  ``str`` fills in a print
 template, the text with ``{i}`` for the name of the i-th ring variable, by
 one ``format`` over the ring's names.  ``_template_of`` alone builds it,
 with ``_printed_order`` the one sort.  Every polynomial's ``_template`` is
-a one-element list, the cell, its own unless ``_renamed`` hands it its
-source's: an order-keeping renaming keeps every key and its printed place,
-so the first ``str`` of a source or any copy fills the cell for all of
-them.  A polynomial keeps what it renders: its text, from the first
-``str``, and its decoded term map, from the first ``terms``, ``evaluate``
-or ``substitute``, so a repeat of any of them decodes and formats nothing.
+a one-element list, the cell, its own unless ``_relabelled`` hands it its
+source's: relabelling indices onto increasing labels keeps every key and
+its printed place, so the first ``str`` of a source or any copy fills the
+cell for all of them.  A polynomial keeps what it renders: its text, from
+the first ``str``, and its decoded term map, from the first ``terms``,
+``evaluate`` or ``substitute``, so a repeat of any of them decodes and
+formats nothing.
 The memos live on the polynomial and go with it; ``poly`` keeps no memo of
 its own.  One encoder, ``_packed``, packs monomials, for the two
 constructors and ``_trimmed``; one decoder, ``_decoded`` over the memoized
@@ -48,7 +49,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from functools import partial, reduce
+from functools import reduce
 from math import prod
 from operator import or_
 from types import MappingProxyType
@@ -117,11 +118,6 @@ class Variable(namedtuple("_Variable", "family a b", defaults=(0, 0))):
 
 Z = Variable(_FAM_Z)
 W = Variable(_FAM_W)
-
-
-# A Variable built from fields already known to be valid, without the check;
-# relabelling a variable along an increasing map of indices keeps it valid.
-_unchecked_variable = partial(tuple.__new__, Variable)
 
 
 def y_var(j: int) -> Variable:
@@ -321,7 +317,7 @@ class SparsePolynomial:
         cls, ring: Ring, bits: int, terms: dict[int, int], template: list | None = None
     ) -> "SparsePolynomial":
         """Internal fast path: ring, width and terms ready.  The polynomial gets a new
-        template cell unless it is handed one (see ``_renamed``); none is shared by default."""
+        template cell unless it is handed one (see ``_relabelled``); none is shared by default."""
         p = cls.__new__(cls)
         p._ring, p._bits, p._terms = ring, bits, terms
         p._template = [None] if template is None else template
@@ -515,17 +511,27 @@ def _folded(p: SparsePolynomial, point: Mapping[Variable, object]) -> int | Spar
     return sum(c * prod([point[v] ** e for v, e in mono]) for mono, c in _keyed_terms(p).items())
 
 
-def _renamed(p: SparsePolynomial, rename: Callable[[Variable], Variable]) -> SparsePolynomial:
-    """``p`` with each variable v of its ring renamed ``rename(v)``.
+def _relabelled(p: SparsePolynomial, labels: tuple, zvar: Variable = Z) -> SparsePolynomial:
+    """``p``, a polynomial over the indices {1..len(labels)}, relabelled onto ``labels``,
+    with ``zvar`` put in for z.
 
-    The renaming must keep the ring in increasing order.  Then every field
-    stays in its place, so the packed term map is shared as it is and only
-    the ring changes.  Every term keeps its printed place too, so the copy
-    gets ``p``'s template cell, and the first ``str`` of ``p`` or of any of
-    its copies fills it for the rest.  The copy's names differ, so it gets
-    neither of ``p``'s memos: its text and its decoded map are its own.
+    y_j becomes y_{labels[j-1]} and x_{i,j} becomes x_{labels[i-1],labels[j-1]};
+    w stays.  The labels must increase, and ``zvar`` must be z or w (w only
+    when ``p`` holds none).  Then the relabelled ring keeps its order and
+    every field stays in its place, so the copy shares ``p``'s packed term
+    map as it is, and every term keeps its printed place, so it shares
+    ``p``'s template cell too: the first ``str`` of ``p`` or of any of its
+    copies fills it for the rest.  Its names may differ, so the copy gets
+    fresh memos: its text and its decoded map are its own.  The relabelled
+    variables are valid, so they are built without ``Variable``'s check.
     """
-    return SparsePolynomial._raw(tuple(map(rename, p._ring)), p._bits, p._terms, p._template)
+    index = (0, *labels)  # index 0 keeps z, w and a y's second index as they are
+    new = tuple.__new__
+    ring = tuple(
+        zvar if family == _FAM_Z else new(Variable, (family, index[a], index[b]))
+        for family, a, b in p._ring
+    )
+    return SparsePolynomial._raw(ring, p._bits, p._terms, p._template)
 
 
 def _printed_order(p: SparsePolynomial) -> list[int]:

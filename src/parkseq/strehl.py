@@ -32,17 +32,16 @@ A member depends on A only through the order of its labels: over an
 increasing k-set A it is the member over {1..k} with y_j renamed y_{A[j]}
 and x_{i,j} renamed x_{A[i],A[j]}.  So ``_expand`` multiplies out each
 member once per size and family, at z, and ``t_poly`` and ``s_poly``
-relabel it onto A, putting z or w in for z.  The renaming keeps the ring
-in increasing order, and a packed monomial's fields follow the ring's
-order, so every key keeps its value and the term map is shared as it is;
-only the ring changes.  ``identity_sides`` does the same with whole sides:
-``_sides`` builds both over {1..k} once per identity and size, the left
-side of a convolution multiplied out at z + w and the right side adding
+relabel it onto A with ``poly._relabelled``, putting z or w in for z; the
+relabelled member shares the term map of the one over {1..k}.
+``identity_sides`` does the same with whole sides: ``_sides`` builds both
+over {1..k} once per identity and size, the left side of a convolution
+multiplied out at z + w and the right side adding
 its 2^k split products into one term map (``poly._sum_of_products``).  A
 right side equal to the left is the left side itself, and it stays one
 polynomial when relabelled, so the two sides decode and print once.
-Printing is ``poly``'s: all the relabelled copies of one side share the
-template it builds on the first ``str`` of any of them.
+Printing, and what the relabelled copies of a side share for it, is
+``poly``'s.
 The exact right side of a convolution is the top coefficient of a subset
 convolution, summed by a blocked subset transform: the splits of the (at
 most ``_BLOCK``) smallest members of A are laid out as lists indexed by
@@ -65,7 +64,7 @@ from itertools import combinations
 from operator import add, mul
 from typing import Iterable, Iterator, Literal, Mapping
 
-from .core import SizesLike, _check_integer, _check_z, _is_int, as_car_sizes
+from .core import SizesLike, _check_count, _check_integer, _check_z, _is_int, as_car_sizes
 from .counting import CountReport, count_by_formula
 from .poly import (
     ParameterAssignment,
@@ -73,9 +72,8 @@ from .poly import (
     Variable,
     W,
     Z,
-    _renamed,
+    _relabelled,
     _sum_of_products,
-    _unchecked_variable,
     poly,
     x_var,
     y_var,
@@ -95,6 +93,8 @@ class IndexSet(tuple):
     labels, so a ground set keeps its members in increasing order, and so
     do both sides of each of its splits.
     """
+
+    __slots__ = ()
 
     def __new__(cls, elems: Iterable[int] = ()) -> "IndexSet":
         t = tuple(elems)
@@ -192,23 +192,6 @@ def _expand(k: int, family: str) -> SparsePolynomial:
     return poly(_product(A, family, poly(Z), *_symbols(A)))
 
 
-def _relabelled(p: SparsePolynomial, A: IndexSet, zvar: Variable = Z) -> SparsePolynomial:
-    """``p``, a polynomial over {1..|A|}, relabelled onto A, with ``zvar`` put in for z.
-
-    y_j becomes y_{A[j]} and x_{i,j} becomes x_{A[i],A[j]}; w stays.  A is
-    increasing and z and w sort below every y and x, so the relabelled ring
-    is in increasing order and the packed term map is shared as it is.  The
-    relabelled variables are valid too, so they are built without
-    ``Variable``'s check.
-    """
-    labels = (0, *A)  # label 0 keeps z, w and a y's second index as they are
-
-    def rename(v: Variable) -> Variable:
-        return zvar if v == Z else _unchecked_variable((v.family, labels[v.a], labels[v.b]))
-
-    return _renamed(p, rename)
-
-
 def _member(A: IndexSet, family: str, zvar: Variable) -> SparsePolynomial:
     """The ``family`` member over A with ``zvar``, z or w, for the main variable:
     the member over {1..|A|}, relabelled."""
@@ -222,9 +205,8 @@ def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
 
     ``zvar`` times the product of the linear forms over every member of A
     except the maximum; 1 on the empty set.  The member is multiplied out
-    once per size, over {1..|A|} at z, and relabelled onto A with ``zvar``
-    for z: the labels keep their order, so the packed keys keep their
-    values and the term map is shared (see ``_member``).  ``zvar`` is the
+    once per size, over {1..|A|} at z, and ``poly._relabelled`` relabels
+    it onto A with ``zvar`` for z, sharing its term map.  ``zvar`` is the
     Variable ``Z`` or ``W``; anything else is refused with a ``ValueError``.
     """
     return _member(_as_index_set(A), "t", zvar)
@@ -233,8 +215,8 @@ def t_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
 def s_poly(A: IndexSet | Iterable[int], zvar: Variable = Z) -> SparsePolynomial:
     """Sheffer-type family member over A: the full product of linear forms.
 
-    Multiplied out once per size and relabelled onto A, sharing its packed
-    term map, as in ``t_poly``.
+    Multiplied out once per size and relabelled onto A by
+    ``poly._relabelled``, sharing its term map, as in ``t_poly``.
     """
     return _member(_as_index_set(A), "s", zvar)
 
@@ -251,13 +233,6 @@ def _check_identity(identity: str, A: IndexSet) -> None:
         raise ValueError(f"unknown identity {identity!r}, expected one of {_IDENTITIES}")
 
 
-def _check_trials(trials: object) -> None:
-    """The one check of a trial count: an ``int`` >= 1."""
-    _check_integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-
-
 def identity_sides(
     identity: IdentityName,
     A: IndexSet | Iterable[int],
@@ -270,10 +245,11 @@ def identity_sides(
     exponentially in |A|, and the convolutions also enumerate ``2**|A|``
     decompositions, so all three carry a size guard; pass a larger
     ``budget`` to lift it deliberately.  Both sides are built once per
-    identity and size, over {1..|A|} (``_sides``), and relabelled onto A
-    sharing their term maps.  Equal sides are one polynomial, relabelled
-    once, so ``lhs is rhs``; the polynomial is immutable, and it keeps the
-    text and term map it renders, so the second side costs nothing.
+    identity and size, over {1..|A|} (``_sides``), and ``poly._relabelled``
+    relabels them onto A, sharing their term maps.  Equal sides are one
+    polynomial, relabelled once, so ``lhs is rhs``; the polynomial is
+    immutable, and it keeps the text and term map it renders, so the second
+    side costs nothing.
     """
     A = _as_index_set(A)
     _check_identity(identity, A)
@@ -484,7 +460,7 @@ def random_identity_check(
     """
     A = _as_index_set(A)
     _check_identity(identity, A)
-    _check_trials(trials)
+    _check_count(trials, "trials")
     _check_integer(seed, "seed")
     omit = _omitted_split(identity, A, omit)
     return all(lhs == rhs for lhs, rhs in _trial_sides(identity, A, trials, seed, omit))

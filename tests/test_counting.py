@@ -20,7 +20,7 @@ from parkseq.counting import (
     count_no_trailer,
     count_report,
 )
-from parkseq.counting import _comb_past, _search, _state_bound
+from parkseq.counting import _search, _state_bound
 from parkseq.strehl import IndexSet, f_as_t_specialization, partitions_into_two, verify_recurrence
 
 sizes_vectors = st.lists(st.integers(1, 3), max_size=4).map(tuple)
@@ -314,12 +314,40 @@ class TestSearchStates:
             states,
         )
 
-    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 10**9))
-    def test_capped_binomial(self, n, k, cap):
-        k = min(k, n)
-        exact = comb(n, k)
-        got = _comb_past(n, k, cap)
-        assert got == exact if exact <= cap else exact >= got > cap
+    @given(st.lists(st.integers(1, 40), max_size=8))
+    @example([1, 2, 3, 4, 5, 6, 7, 8])  # at the last car the row count is the smaller
+    def test_state_bound_is_the_smaller_count_at_each_car(self, sizes):
+        """Each car adds min(M_k * C(L - Y_k + k, k), C(L, Y_k)), written out with
+        ``math.comb`` whichever of the two is smaller."""
+        free = sum(sizes)
+        expected = 0
+        for k in range(len(sizes)):
+            before = sizes[:k]
+            orders = factorial(k)
+            for y in set(before):
+                orders //= factorial(before.count(y))
+            placed = sum(before)
+            expected += min(orders * comb(free - placed + k, k), comb(free, placed))
+        assert _state_bound(tuple(sizes)) == expected
+
+    @pytest.mark.parametrize(
+        "sizes, states",
+        [((10**6, 10**6), 1 + (10**6 + 1)), ((50_000, 50_000), 50_002), ((1,) * 1200, 2**1200 - 1)],
+        ids=["two-cars-of-a-million", "two-cars-of-50000", "1200-unit-cars"],
+    )
+    def test_a_refusal_computes_no_binomial_of_a_huge_row(self, monkeypatch, sizes, states):
+        """C(L, Y_k) is at least 2^min(Y_k, L - Y_k); once that passes the block
+        count the binomial is left uncomputed, so no refusal waits for it."""
+        def small_comb(n, k):
+            if min(k, n - k) > 5000:
+                raise AssertionError(f"C({n}, {k}) was computed")
+            return comb(n, k)
+
+        monkeypatch.setattr(counting, "comb", small_comb)
+        monkeypatch.setattr(counting, "_search", _no_search)
+        with pytest.raises(EnumerationBudgetError) as err:
+            count_report(sizes, 1)
+        assert err.value.states == states
 
 
 class TestIndexSet:

@@ -21,6 +21,11 @@ Each refusal is written once: no two ``raise`` statements in the package
 give the same message text, so a check that two entry points share is one
 function they both call.
 
+The rest of the package keeps to ``poly``'s public face: of ``poly``'s
+private names it imports only ``_relabelled`` and ``_sum_of_products``, and
+it reaches no attribute whose name starts with one underscore but a named
+tuple's own methods, so a packed key or a memo slot is ``poly``'s alone.
+
 Every private module-level name is read somewhere: each function, class or
 assignment whose name starts with ``_`` is loaded, imported or read as an
 attribute by some module of the package, so no helper outlives its callers.
@@ -304,3 +309,60 @@ def test_the_private_name_scan_sees_an_unread_helper():
     # a name read in one module does not count for a copy of it left in another
     copy = "def _helper():\n    return 0\n"
     assert _unread_private_names({"mod": source, "copy": copy})[0] == "copy._helper"
+
+
+# the private names of ``poly`` that the rest of the package may import
+POLY_FACE = {"_relabelled", "_sum_of_products"}
+NAMEDTUPLE_METHODS = {"_asdict", "_replace", "_fields", "_make"}
+
+
+def _private_reaches(source: str) -> list[str]:
+    """Every private name ``source`` imports from ``poly`` but those of ``POLY_FACE``,
+    and every attribute it reaches whose name starts with one underscore, but a
+    named tuple's methods."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level, node.module) == (1, "poly") or node.module == "parkseq.poly"
+        ):
+            found += [
+                alias.name
+                for alias in node.names
+                if alias.name.startswith("_") and alias.name not in POLY_FACE
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and node.attr not in NAMEDTUPLE_METHODS
+        ):
+            found.append(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "poly")
+)
+def test_the_package_keeps_to_the_public_face_of_poly(module):
+    assert _private_reaches((PACKAGE / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .poly import _renamed, _relabelled, _sum_of_products", ["_renamed"]),
+        ("from parkseq.poly import _unchecked_variable as make", ["_unchecked_variable"]),
+        ("def f(p):\n    return p._terms\n", ["_terms"]),
+        ("from . import poly\nring = poly._packed(terms)[0]\n", ["_packed"]),
+        ("p._keyed = None\n", ["_keyed"]),
+        (
+            "from .poly import _relabelled, _sum_of_products\nfrom .strehl import _sides\n"
+            "r._asdict(), r._replace(a=1), T._fields, T._make(x), type(r).__name__\n",
+            [],
+        ),
+    ],
+    ids=["private import", "absolute import", "attribute", "module attribute", "attribute store",
+         "the allowed names"],
+)
+def test_the_poly_face_scan_sees_each_reach(source, found):
+    assert _private_reaches(source) == found

@@ -366,8 +366,7 @@ def test_a_repeat_str_of_an_unrelabelled_product_reuses_its_template(monkeypatch
     text = "-3*z + z*x1_2 - 3*y2 + y2*x1_2"
     assert [str(p), str(p)] == [text, text]
     assert len(builds) == 1
-    relabel = {Z: Z, y_var(2): y_var(3), x_var(1, 2): x_var(1, 3)}
-    copy = poly_module._renamed(p, relabel.__getitem__)  # shares the filled cell
+    copy = poly_module._relabelled(p, (1, 3))  # shares the filled cell
     assert str(copy) == "-3*z + z*x1_3 - 3*y3 + y3*x1_3"
     assert len(builds) == 1
 

@@ -80,6 +80,16 @@ def test_fields_cannot_be_assigned(record, name, value):
     assert getattr(record, name) != value
 
 
+@pytest.mark.parametrize(
+    "value", [IndexSet((1, 2)), CarSizeVector((1, 2))], ids=["IndexSet", "CarSizeVector"]
+)
+def test_values_take_no_new_attributes(value):
+    """Every value is immutable: none carries a ``__dict__`` for new attributes."""
+    with pytest.raises(AttributeError):
+        value.note = 1
+    assert not hasattr(value, "note") and not hasattr(value, "__dict__")
+
+
 @pytest.mark.parametrize("build", EQUAL_VALUES.values(), ids=EQUAL_VALUES)
 def test_equal_values_compare_and_hash_equal(build):
     a, b = build(), build()
