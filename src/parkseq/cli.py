@@ -7,16 +7,22 @@ a refusal prints nothing on stdout.  Exit codes: 0 for success / all rows
 match, 1 for a failed parking attempt, a verification mismatch or a stdout
 closed early, 2 for malformed input or an exceeded enumeration budget.
 Output bytes are a pure function of the flags (including ``--seed``).
+
+Each subcommand's options are declared once, as data (``_SUBCOMMANDS``).
+``_read`` reads a well-formed command line from that declaration directly;
+argparse, built from the same declaration by ``_build_parser``, is loaded
+only for help, usage errors and the forms ``_read`` declines, so its help
+and error messages stay the CLI's.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager
 from itertools import combinations, cycle, islice, product
-from typing import Callable, Iterable, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import Parked, _check_count, as_car_sizes, simulate_parking
 from .counting import DEFAULT_BUDGET, EnumerationBudgetError, count_by_formula, count_report
@@ -25,6 +31,9 @@ from .strehl import (
     _IDENTITIES, SYMBOLIC_BUDGET, IndexSet, _check_identity, _check_partition_count,
     _trial_sides, f_as_t_specialization, identity_sides, verify_recurrence,
 )
+
+if TYPE_CHECKING:  # argparse loads only with the parser; see _build_parser
+    import argparse
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -47,6 +56,8 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
+        import argparse  # loaded already whenever argparse is the one reporting this
+
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
@@ -104,7 +115,7 @@ def _park_line(r: dict) -> str:
     return f"overflow: car {r['car']} would run past the last spot from spot {r['first_empty']}"
 
 
-def cmd_park(args: argparse.Namespace) -> int:
+def cmd_park(args: SimpleNamespace) -> int:
     outcome = simulate_parking(args.sizes, args.z, args.prefs)
     record = {"sizes": list(args.sizes), "z": args.z, "prefs": list(args.prefs)}
     record.update(outcome=type(outcome).__name__.lower(), **outcome._asdict())
@@ -120,7 +131,7 @@ def _count_line(r: dict) -> str:
     return f"formula={r['formula']} enumerated={r['enumerated']} match={_cell(r['match'])}"
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: SimpleNamespace) -> int:
     budget = _default_budget() if args.budget is None else args.budget
     _check_count(budget, "budget")
     formula = count_by_formula(args.sizes, args.z)
@@ -146,7 +157,7 @@ def _verify_line(r: dict) -> str:
     return f"{r['suite']} {r['instance']}: lhs={r['lhs']} rhs={r['rhs']} match={_cell(r['match'])}"
 
 
-def _fleets(args: argparse.Namespace, extra: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _fleets(args: SimpleNamespace, extra: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(sizes, z)`` over the sweep: up to ``--n-max`` cars plus ``extra``, each of
     size 1..``--y-max``, and z in 1..``--z-max``, z varying fastest."""
     for n in range(extra, args.n_max + extra + 1):
@@ -155,7 +166,7 @@ def _fleets(args: argparse.Namespace, extra: int) -> Iterator[tuple[tuple[int, .
                 yield sizes, z
 
 
-def _rows_recurrence(args: argparse.Namespace, suite: str) -> Iterator[dict]:
+def _rows_recurrence(args: SimpleNamespace, suite: str) -> Iterator[dict]:
     for fleet, z in _fleets(args, 1):
         sizes, nxt = fleet[:-1], fleet[-1]
         report = verify_recurrence(sizes, nxt, z)
@@ -163,13 +174,13 @@ def _rows_recurrence(args: argparse.Namespace, suite: str) -> Iterator[dict]:
         yield _row(suite, instance, report.formula, report.enumerated, report.match)
 
 
-def _rows_specialization(args: argparse.Namespace, suite: str) -> Iterator[dict]:
+def _rows_specialization(args: SimpleNamespace, suite: str) -> Iterator[dict]:
     for sizes, z in _fleets(args, 0):
         lhs, rhs = f_as_t_specialization(sizes, z), count_by_formula(sizes, z)
         yield _row(suite, f"sizes={_csv(sizes) or '-'} z={z}", lhs, rhs, lhs == rhs)
 
 
-def _rows_identity(args: argparse.Namespace, name: str) -> Iterator[dict]:
+def _rows_identity(args: SimpleNamespace, name: str) -> Iterator[dict]:
     if args.ground is not None:
         grounds: Iterable[IndexSet] = [args.ground]
     else:
@@ -196,7 +207,7 @@ _SUITE_ROWS = dict(
 )
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     _check_count(args.trials, "trials")
     if args.n_max < 0 or args.y_max < 1 or args.z_max < 1:
         raise ValueError(
@@ -214,7 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if _write(args.fmt, VERIFY_COLUMNS, _verify_line, rows) else EXIT_FAILURE
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     if not 0 <= args.n_max <= 12:
         raise ValueError(f"table needs 0 <= n_max <= 12, got {args.n_max}")
     _check_count(args.z_max, "z_max")
@@ -239,10 +250,11 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 @contextmanager
 def _exact_int_text() -> Iterator[None]:
-    """Let integers of any length be written out while a subcommand runs.
+    """Let integers of any length be read and written while a command line runs.
 
-    Exact answers pass the interpreter's limit on int-to-str conversion
-    (4,300 digits by default) easily; the caller's limit is put back after.
+    Exact answers and integer flags pass the interpreter's limit on int/str
+    conversion (4,300 digits by default) easily; the caller's limit is put
+    back after.
     """
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:  # interpreters older than the limit
@@ -256,54 +268,54 @@ def _exact_int_text() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _park_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sizes", type=_csv_ints, required=True, metavar="CSV",
-                   help="car sizes in arrival order; empty string for no cars")
-    p.add_argument("--z", type=int, required=True, help="trailer parameter (z-1 trailer spots)")
-    p.add_argument("--prefs", type=_csv_ints, required=True, metavar="CSV",
-                   help="preferred spots, one per car")
+_FORMAT = ("--format", dict(choices=FORMATS, default="plain", dest="fmt"))
 
+# each subcommand's own arguments, as (flag or positional name, add_argument keywords)
+_PARK_OPTIONS = (
+    ("--sizes", dict(type=_csv_ints, required=True, metavar="CSV",
+                     help="car sizes in arrival order; empty string for no cars")),
+    ("--z", dict(type=int, required=True, help="trailer parameter (z-1 trailer spots)")),
+    ("--prefs", dict(type=_csv_ints, required=True, metavar="CSV",
+                     help="preferred spots, one per car")),
+)
+_COUNT_OPTIONS = (
+    ("--sizes", dict(type=_csv_ints, required=True, metavar="CSV")),
+    ("--z", dict(type=int, required=True)),
+    ("--enumerate", dict(action="store_true", dest="do_enumerate",
+                         help="also run the brute-force oracle and compare")),
+    ("--budget", dict(type=int, default=None,
+                      help="refuse when the oracle's search may walk more row cells"
+                           " (states times m spots) than this"
+                           f" (default {DEFAULT_BUDGET} or $PARKSEQ_BUDGET)")),
+    ("--force", dict(action="store_true", help="enumerate past the budget")),
+)
+_VERIFY_OPTIONS = (
+    ("suite", dict(choices=SUITES)),
+    ("--set", dict(type=_csv_ints, default=None, dest="ground", metavar="CSV",
+                   help="check one explicit ground set instead of sweeping")),
+    ("--n-max", dict(type=int, default=3, dest="n_max")),
+    ("--y-max", dict(type=int, default=3, dest="y_max")),
+    ("--z-max", dict(type=int, default=4, dest="z_max")),
+    ("--random", dict(action="store_true", dest="randomized",
+                      help="force randomized evaluation instead of symbolic expansion")),
+    ("--trials", dict(type=int, default=20)),
+    ("--seed", dict(type=int, default=42)),
+)
+_TABLE_OPTIONS = (
+    ("--family", dict(choices=FAMILIES, default="ones")),
+    ("--car", dict(type=int, default=2, help="car size for the const family")),
+    ("--pattern", dict(type=_csv_ints, default=(), metavar="CSV",
+                       help="size pattern, cycled to length n, for the pattern family")),
+    ("--n-max", dict(type=int, default=8, dest="n_max")),
+    ("--z-max", dict(type=int, default=4, dest="z_max")),
+)
 
-def _count_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sizes", type=_csv_ints, required=True, metavar="CSV")
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--enumerate", action="store_true", dest="do_enumerate",
-                   help="also run the brute-force oracle and compare")
-    p.add_argument("--budget", type=int, default=None,
-                   help="refuse when the oracle's search may walk more row cells"
-                        " (states times m spots) than this"
-                        f" (default {DEFAULT_BUDGET} or $PARKSEQ_BUDGET)")
-    p.add_argument("--force", action="store_true", help="enumerate past the budget")
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--set", type=_csv_ints, default=None, dest="ground", metavar="CSV",
-                   help="check one explicit ground set instead of sweeping")
-    p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--y-max", type=int, default=3, dest="y_max")
-    p.add_argument("--z-max", type=int, default=4, dest="z_max")
-    p.add_argument("--random", action="store_true", dest="randomized",
-                   help="force randomized evaluation instead of symbolic expansion")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=42)
-
-
-def _table_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=FAMILIES, default="ones")
-    p.add_argument("--car", type=int, default=2, help="car size for the const family")
-    p.add_argument("--pattern", type=_csv_ints, default=(), metavar="CSV",
-                   help="size pattern, cycled to length n, for the pattern family")
-    p.add_argument("--n-max", type=int, default=8, dest="n_max")
-    p.add_argument("--z-max", type=int, default=4, dest="z_max")
-
-
-# (name, help line, the function that adds the subcommand's own arguments, the command)
+# (name, help line, the subcommand's own arguments, the command)
 _SUBCOMMANDS = (
-    ("park", "run one parking attempt", _park_arguments, cmd_park),
-    ("count", "count parking sequences", _count_arguments, cmd_count),
-    ("verify", "verify counting identities", _verify_arguments, cmd_verify),
-    ("table", "tabulate count families", _table_arguments, cmd_table),
+    ("park", "run one parking attempt", _PARK_OPTIONS, cmd_park),
+    ("count", "count parking sequences", _COUNT_OPTIONS, cmd_count),
+    ("verify", "verify counting identities", _VERIFY_OPTIONS, cmd_verify),
+    ("table", "tabulate count families", _TABLE_OPTIONS, cmd_table),
 )
 
 
@@ -317,6 +329,8 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     and an invalid-choice error read, so parsing ``argv`` gives what a parser
     with every subcommand filled in would give.
     """
+    import argparse  # only help, usage errors and the forms _read declines load it
+
     invoked = next((tok for tok in argv if not tok.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="parkseq",
@@ -324,13 +338,68 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         " simulate, count, verify, tabulate.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_line, add_arguments, command in _SUBCOMMANDS:
+    for name, help_line, options, command in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(command=command)
         if name == invoked:
-            p.add_argument("--format", choices=FORMATS, default="plain", dest="fmt")
-            add_arguments(p)
+            for flag, keywords in (_FORMAT, *options):
+                p.add_argument(flag, **keywords)
     return parser
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``_build_parser(argv).parse_args(argv)`` gives, read without
+    argparse, or None where ``argv`` is not in the plain form read here.
+
+    The plain form is a subcommand name, then each of its options (exact
+    flags, ``--format`` among them) at most once, a ``store_true`` flag alone
+    and any other flag followed by its value, and its positional wherever no
+    flag waits for a value.  A value must not start with ``-``, must pass the
+    option's ``type`` and must be one of its ``choices``; every required
+    argument must be there.  Anything else (help, abbreviations,
+    ``--flag=value``, ``--``, repeats, negative numbers, a missing value, an
+    extra positional, an unknown subcommand) is left to argparse, whose help
+    and error messages are the CLI's.
+    """
+    row = next((row for row in _SUBCOMMANDS if argv[:1] == [row[0]]), None)
+    if row is None:
+        return None
+    name, _, options, command = row
+    declared = dict((_FORMAT, *options))
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            if token not in declared or token in given:
+                return None
+            flag = token
+            if declared[flag].get("action") == "store_true":
+                given[flag] = True
+                continue
+            token = next(tokens, "-")  # a missing value is declined as one starting with -
+            if token.startswith("-"):
+                return None
+        else:
+            flag = next((f for f in declared if not f.startswith("-") and f not in given), None)
+            if flag is None:
+                return None
+        keywords = declared[flag]
+        try:
+            value = keywords.get("type", str)(token)
+        except Exception:  # argparse reports the value, or raises what it does not catch
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(subcommand=name, command=command)
+    for flag, keywords in declared.items():
+        if flag not in given and keywords.get("required", not flag.startswith("-")):
+            return None
+        store_true = keywords.get("action") == "store_true"
+        default = keywords.get("default", False if store_true else None)
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        setattr(args, dest, given.get(flag, default))
+    return args
 
 
 def _default_budget() -> int:
@@ -346,23 +415,25 @@ def _default_budget() -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = _build_parser(argv).parse_args(argv)
-    except SystemExit as exc:  # argparse already reported the problem
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        with _exact_int_text():
+    with _exact_int_text():  # flag values are integers too, of any length
+        try:
+            args = _read(argv)
+            if args is None:
+                args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:  # argparse already reported the problem
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        try:
             return args.command(args)
-    except EnumerationBudgetError as exc:
-        print(
-            f"error: {exc}; raise it with --budget N or PARKSEQ_BUDGET=N,"
-            " or lift it with --force",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        except EnumerationBudgetError as exc:
+            print(
+                f"error: {exc}; raise it with --budget N or PARKSEQ_BUDGET=N,"
+                " or lift it with --force",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 def run() -> None:

@@ -7,7 +7,8 @@ here keeps those checks in this suite, not only in the benchmark's own
 slower tests; ``symbolic`` runs on a second seed too.  The ``cli``
 workload runs each command in a child process; here each runs through
 ``cli.main`` in-process, against the exit code and stdout sha256 pinned
-for it in ``bench/expected.json``.
+for it in ``bench/expected.json``, and with no argparse parser built: the
+benchmark's CLI traffic is all well-formed command lines.
 """
 
 import hashlib
@@ -54,6 +55,11 @@ def test_every_cli_command_gives_its_pinned_exit_code_and_stdout(monkeypatch, ca
     import workloads
 
     pinned = workloads.load_expected()["cli"]
+
+    def no_parser(argv):
+        raise AssertionError(f"{argv} is not read without argparse")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
     answers, expected = {}, {}
     for argv in workloads.CLI_CATALOG:
         key = " ".join(argv)

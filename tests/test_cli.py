@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import parkseq
@@ -33,6 +33,9 @@ def _decimal(n: int) -> str:
         n, low = divmod(n, chunk)
         parts.append(f"{low:01000d}")
     return str(n) + "".join(reversed(parts))
+
+
+LONG = "1" + "0" * 4300  # 10**4300, one digit past the interpreter's default limit
 
 
 class TestPark:
@@ -92,6 +95,14 @@ class TestPark:
         assert (code, out) == (2, "")
         assert err == (
             f"error: a lot of {10**20} spots is too long to simulate"
+            f" (a row holds at most {sys.maxsize} spots)\n"
+        )
+
+    def test_trailer_flag_longer_than_int_digit_limit_reaches_the_lot_check(self, capsys):
+        code, out, err = run_cli(capsys, "park", "--sizes", "1", "--z", LONG, "--prefs", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a lot of [4301 digits] spots is too long to simulate"
             f" (a row holds at most {sys.maxsize} spots)\n"
         )
 
@@ -260,6 +271,37 @@ class TestCount:
         monkeypatch.setenv("PARKSEQ_BUDGET", "1" + "0" * 4300)
         code, out, err = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", "4", "--enumerate")
         assert (code, out, err) == (0, "formula=288 enumerated=288 match=true\n", "")
+
+    def test_trailer_flag_longer_than_int_digit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--sizes", "2,2,1", "--z", LONG)
+        assert (code, out, err) == (0, _decimal(count_by_formula((2, 2, 1), 10**4300)) + "\n", "")
+
+    def test_budget_flag_longer_than_int_digit_limit(self, capsys):
+        argv = ("count", "--sizes", "2,2,1", "--z", "4", "--enumerate", "--budget", LONG)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, "formula=288 enumerated=288 match=true\n", "")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--sizes", "2,2,1", "--z", "x"],
+            ["count", "--sizes", "2,2,1", "--z", "4", "--budget", "0"],
+            ["count", "-h"],
+        ],
+        ids=["usage-error", "refusal", "help"],
+    )
+    def test_the_callers_int_digit_limit_is_put_back(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            main(argv)
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+        capsys.readouterr()
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int digit limit"
@@ -681,10 +723,10 @@ def _eager_parser(argv):
     """The parser with every subcommand filled in, from the same table."""
     parser = _build_parser([])  # fills in no subcommand
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, _, add_arguments, _ in cli._SUBCOMMANDS:
+    for name, _, options, _ in cli._SUBCOMMANDS:
         p = subparsers.choices[name]
-        p.add_argument("--format", choices=cli.FORMATS, default="plain", dest="fmt")
-        add_arguments(p)
+        for flag, keywords in (cli._FORMAT, *options):
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -708,6 +750,75 @@ def test_the_lazy_parser_answers_as_the_eager_one(capsys, argv):
         patch.setattr(cli, "_build_parser", _eager_parser)
         eager = run_cli(capsys, *argv)
     assert lazy == eager
+
+
+# each subcommand's (flag or positional name, add_argument keywords), --format first
+READER_TABLES = {name: dict((cli._FORMAT, *options)) for name, _, options, _ in cli._SUBCOMMANDS}
+READER_NOISE = (
+    *sorted({flag for table in READER_TABLES.values() for flag in table if flag.startswith("-")}),
+    "--format=json", "--enum", "--siz", "--help", "-h", "--", "--bogus", "park",
+)
+READER_INTS = ("0", "1", "2", " 3", "+2", "1_0")
+READER_CSVS = ("", "1", "1,2", "2,1")
+READER_WELL_FORMED = {
+    "--format": cli.FORMATS, "--family": cli.FAMILIES, "suite": cli.SUITES,
+    "--sizes": READER_CSVS, "--prefs": READER_CSVS, "--set": READER_CSVS, "--pattern": READER_CSVS,
+}
+READER_ODD = ("-", "-1", "-1,2", "x", "1,x", "", "1_0", "json", "ones", "all")
+READER_VALUES = (*READER_INTS, *READER_CSVS, *READER_ODD, *cli.FORMATS, *cli.FAMILIES, *cli.SUITES)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand name, its required arguments, then some of its options,
+    in any order.  A quarter of the time one required argument is left out,
+    a value is an odd one (starting with ``-``, failing the option's type or
+    missing its choices) and not one well-formed for its option, or lone
+    tokens from anywhere are mixed in."""
+    name = draw(st.sampled_from(sorted(READER_TABLES)))
+    table = READER_TABLES[name]
+    # verify sweeps --n-max cars of sizes up to --y-max: 1_0 there would take minutes
+    values = [v for v in READER_VALUES if name != "verify" or v != "1_0"]
+    odd = [v for v in READER_ODD if v in values]
+
+    def sometimes() -> bool:
+        return draw(st.integers(0, 3)) == 0
+
+    def given_as(flag):
+        if table[flag].get("action") == "store_true":
+            return [flag]
+        well_formed = [v for v in READER_WELL_FORMED.get(flag, READER_INTS) if v in values]
+        value = draw(st.sampled_from(odd if sometimes() else well_formed))
+        return [flag, value] if flag.startswith("-") else [value]
+
+    required = [f for f, kw in table.items() if kw.get("required") or not f.startswith("-")]
+    groups = [given_as(flag) for flag in required]
+    if groups and sometimes():
+        del groups[draw(st.integers(0, len(groups) - 1))]
+    options = [flag for flag in table if flag.startswith("-")]  # a required one may repeat
+    groups += map(given_as, draw(st.lists(st.sampled_from(options), unique=True, max_size=3)))
+    if sometimes():
+        tokens = st.sampled_from([*READER_NOISE, *values])
+        groups += [[tok] for tok in draw(st.lists(tokens, min_size=1, max_size=2))]
+    return [name, *(tok for group in draw(st.permutations(groups)) for tok in group)]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(command_lines())
+@example(["park", "--sizes", "-1,2", "--z", "1", "--prefs", "1,1"])
+def test_the_reader_answers_as_argparse(capsys, argv):
+    """Reading a command line without argparse changes no exit code and no
+    byte of stdout or stderr, and gives argparse's namespace where it reads."""
+    read = run_cli(capsys, *argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_read", lambda argv: None)
+        parsed = run_cli(capsys, *argv)
+    assert read == parsed
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == vars(_build_parser(argv).parse_args(argv))
 
 
 def test_main_without_argv_reads_the_command_line(capsys, monkeypatch):

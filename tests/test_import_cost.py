@@ -1,5 +1,6 @@
 """Starting the CLI loads no module, builds no class and adds no argument
-that only some subcommands need.
+that only some subcommands need, and a well-formed command line loads no
+parser.
 
 Every ``parkseq`` call pays for ``import parkseq.cli``.  ``dataclasses``
 drags in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``);
@@ -7,9 +8,13 @@ drags in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``);
 digest cells and ``--format json`` use them.  A ``typing.NamedTuple`` class
 costs about twice a ``collections.namedtuple`` subclass to create, and
 ``typing.Union`` and ``typing.Optional`` build alias objects where a ``|``
-union is one builtin call.  The parser fills in only the invoked
-subcommand.  These check which modules are loaded, which names the package
-uses and which options a call adds, not how long any of it takes.
+union is one builtin call.  A well-formed command line is read without
+argparse, which with ``gettext`` and the ``locale`` its first message
+lookup imports costs more than the command itself; argparse loads only for
+help, usage errors and the forms the reader declines, and then fills in
+only the invoked subcommand.  These check which modules are loaded, which
+names the package uses and which options a call adds, not how long any of
+it takes.
 """
 
 import argparse
@@ -21,10 +26,11 @@ from pathlib import Path
 import pytest
 
 import parkseq
-from parkseq.cli import main
+from parkseq.cli import _build_parser
 
 SRC = Path(parkseq.__file__).resolve().parent.parent
 HEAVY = ("dataclasses", "inspect", "hashlib", "json")
+PARSER = ("argparse", "gettext", "locale")
 SLOW_TYPING = {"NamedTuple", "Optional", "Union"}
 # options that count, verify or table define and park does not
 NOT_PARK = {
@@ -87,8 +93,33 @@ def test_park_adds_only_its_own_arguments(monkeypatch, capsys):
         return add_argument(self, *names, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
-    code = main(["park", "--sizes", "1,2", "--z", "1", "--prefs", "3,3"])
+    argv = ["park", "--sizes", "1,2", "--z", "1", "--prefs", "3,3"]
+    args = _build_parser(argv).parse_args(argv)
+    code = args.command(args)
     assert (code, capsys.readouterr().out) == (1, "overflow: car 2 found no empty spot"
                                                   " at or after its preference\n")
     assert {"--format", "--sizes", "--z", "--prefs"} <= set(added)
     assert set(added) & NOT_PARK == set()
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["park", "--sizes", "2,2,1", "--z", "4", "--prefs", "5,6,2"], []),
+        (["park", "-h"], ["argparse", "gettext", "locale"]),
+    ],
+    ids=["well-formed", "help"],
+)
+def test_only_help_and_errors_load_the_parser(argv, loaded):
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from parkseq.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(code, *(m for m in {PARSER!r} if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["0", *loaded]
