@@ -12,7 +12,9 @@ Each subcommand's options are declared once, as data (``_SUBCOMMANDS``).
 ``_read`` reads a well-formed command line from that declaration directly;
 argparse, built from the same declaration by ``_build_parser``, is loaded
 only for help, usage errors and the forms ``_read`` declines, so its help
-and error messages stay the CLI's.
+and error messages stay the CLI's.  The polynomial engine is imported by
+the ``verify`` functions that use it, so ``park``, ``count`` and ``table``
+never load it.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import Parked, _check_count, as_car_sizes, simulate_parking
 from .counting import DEFAULT_BUDGET, EnumerationBudgetError, count_by_formula, count_report
-from .poly import SparsePolynomial
-from .strehl import (
-    _IDENTITIES, SYMBOLIC_BUDGET, IndexSet, _check_identity, _check_partition_count,
-    _trial_sides, f_as_t_specialization, identity_sides, verify_recurrence,
-)
 
-if TYPE_CHECKING:  # argparse loads only with the parser; see _build_parser
+if TYPE_CHECKING:  # argparse loads only with the parser, the engine only with verify
     import argparse
+
+    from .poly import SparsePolynomial
+    from .strehl import IndexSet
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -143,6 +143,8 @@ def cmd_count(args: SimpleNamespace) -> int:
 
 
 def _subsets(n: int, include_empty: bool) -> Iterator[IndexSet]:
+    from .strehl import IndexSet
+
     for k in range(0 if include_empty else 1, n + 1):
         for combo in combinations(range(1, n + 1), k):
             yield IndexSet(combo)
@@ -167,6 +169,8 @@ def _fleets(args: SimpleNamespace, extra: int) -> Iterator[tuple[tuple[int, ...]
 
 
 def _rows_recurrence(args: SimpleNamespace, suite: str) -> Iterator[dict]:
+    from .strehl import verify_recurrence
+
     for fleet, z in _fleets(args, 1):
         sizes, nxt = fleet[:-1], fleet[-1]
         report = verify_recurrence(sizes, nxt, z)
@@ -175,12 +179,16 @@ def _rows_recurrence(args: SimpleNamespace, suite: str) -> Iterator[dict]:
 
 
 def _rows_specialization(args: SimpleNamespace, suite: str) -> Iterator[dict]:
+    from .strehl import f_as_t_specialization
+
     for sizes, z in _fleets(args, 0):
         lhs, rhs = f_as_t_specialization(sizes, z), count_by_formula(sizes, z)
         yield _row(suite, f"sizes={_csv(sizes) or '-'} z={z}", lhs, rhs, lhs == rhs)
 
 
 def _rows_identity(args: SimpleNamespace, name: str) -> Iterator[dict]:
+    from .strehl import SYMBOLIC_BUDGET, _trial_sides, identity_sides
+
     if args.ground is not None:
         grounds: Iterable[IndexSet] = [args.ground]
     else:
@@ -208,6 +216,9 @@ _SUITE_ROWS = dict(
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
+    # the polynomial engine loads here: only verify uses it
+    from .strehl import _IDENTITIES, IndexSet, _check_identity, _check_partition_count
+
     _check_count(args.trials, "trials")
     if args.n_max < 0 or args.y_max < 1 or args.z_max < 1:
         raise ValueError(
@@ -354,12 +365,14 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     The plain form is a subcommand name, then each of its options (exact
     flags, ``--format`` among them) at most once, a ``store_true`` flag alone
     and any other flag followed by its value, and its positional wherever no
-    flag waits for a value.  A value must not start with ``-``, must pass the
-    option's ``type`` and must be one of its ``choices``; every required
-    argument must be there.  Anything else (help, abbreviations,
-    ``--flag=value``, ``--``, repeats, negative numbers, a missing value, an
-    extra positional, an unknown subcommand) is left to argparse, whose help
-    and error messages are the CLI's.
+    flag waits for a value.  A value must not start with ``-`` unless the rest
+    is decimal digits (argparse, with no option that looks like a negative
+    number, takes ``-1`` as a value too), must pass the option's ``type`` and
+    must be one of its ``choices``; every required argument must be there.
+    Anything else (help, abbreviations, ``--flag=value``, ``--``, repeats,
+    other values starting with ``-``, a missing value, an extra positional,
+    an unknown subcommand) is left to argparse, whose help and error messages
+    are the CLI's.
     """
     row = next((row for row in _SUBCOMMANDS if argv[:1] == [row[0]]), None)
     if row is None:
@@ -377,7 +390,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
                 given[flag] = True
                 continue
             token = next(tokens, "-")  # a missing value is declined as one starting with -
-            if token.startswith("-"):
+            if token.startswith("-") and not token[1:].isdecimal():
                 return None
         else:
             flag = next((f for f in declared if not f.startswith("-") and f not in given), None)

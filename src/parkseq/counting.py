@@ -10,12 +10,13 @@ arbitrary-precision integers; the product grows too fast for anything else.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb
+from math import comb, prod
 from typing import Iterable
 
 from .core import SizesLike, _check_count, _check_lot, _check_z, _decimal, as_car_sizes
 
 DEFAULT_BUDGET = 4 * 10**6
+_CARRY = 64  # the most spots `_state_bound` carries a binomial across instead of calling `comb`
 
 
 class EnumerationBudgetError(Exception):
@@ -179,16 +180,36 @@ def _state_bound(sizes: tuple[int, ...]) -> int:
     bound sums the smaller of the two over k < n; the second is exact for
     equal sizes.  C(L, Y_k) is at least 2^r, r = min(Y_k, L - Y_k), so once
     2^r passes the block count the binomial, which on a fleet of large cars
-    takes seconds, is not computed.
+    takes seconds, is not computed.  Both binomials are carried from car to
+    car: a move of d spots multiplies by d factors and divides exactly by d
+    more.  ``comb`` computes one afresh instead when it fits a 64-bit word,
+    where ``comb`` is as quick, or when it moves more than ``_CARRY`` spots,
+    past a long car or a run of skipped rows.
     """
     free = sum(sizes)
     bound = placed = 0
-    orders = 1
+    orders = gaps = 1  # M_k and C(L - Y_k + k, k)
+    rows, rows_at = 1, 0  # C(L, rows_at), carried up to C(L, Y_k) when a car needs it
+    seen: dict[int, int] = {}
     for k, y in enumerate(sizes):
-        blocks = orders * comb(free - placed + k, k)
-        rows = min(placed, free - placed)
-        bound += blocks if rows >= blocks.bit_length() else min(blocks, comb(free, placed))
-        orders = orders * (k + 1) // sizes[: k + 1].count(y)
+        blocks = orders * gaps
+        if min(placed, free - placed) < blocks.bit_length():
+            if placed - rows_at <= _CARRY and rows.bit_length() > 64:
+                rows = rows * prod(range(free - placed + 1, free - rows_at + 1)) // prod(
+                    range(rows_at + 1, placed + 1))
+            else:
+                rows = comb(free, placed)
+            rows_at = placed
+            blocks = min(blocks, rows)
+        bound += blocks
+        seen[y] = seen.get(y, 0) + 1
+        orders = orders * (k + 1) // seen[y]
+        top = free - placed + k + 1  # the next gap count is C(top - y, k + 1)
+        if y <= _CARRY and gaps.bit_length() > 64:
+            gaps = gaps * prod(range(top - y - k, top - k)) // (
+                (k + 1) * prod(range(top - y + 1, top)))
+        else:
+            gaps = comb(top - y, k + 1)
         placed += y
     return bound
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import parkseq
-from parkseq import cli
+from parkseq import cli, strehl
 from parkseq.cli import main
 from parkseq.counting import count_by_formula
 from parkseq.strehl import identity_value_sides, verify_recurrence
@@ -209,6 +210,23 @@ class TestCount:
         assert err == (
             f"error: a lot of {10**20 + 1} spots is too long to enumerate"
             f" (a row holds at most {sys.maxsize} spots)\n"
+        )
+
+    def test_a_fleet_of_4000_unit_cars_is_refused_without_a_wide_comb(self, capsys, monkeypatch):
+        """The state bound carries its binomials from car to car, so unit cars
+        call ``comb`` only while it fits a word; two per car, of up to 4,000
+        bits each, made this refusal take about 2 s."""
+        def narrow_comb(n, k):
+            if min(k, n - k) > 64:
+                raise AssertionError(f"C({n}, {k}) was computed")
+            return comb(n, k)
+
+        monkeypatch.setattr("parkseq.counting.comb", narrow_comb)
+        sizes = ",".join(["1"] * 4000)
+        code, out, err = run_cli(capsys, "count", "--sizes", sizes, "--z", "1", "--enumerate")
+        digest = hashlib.sha256(err.encode()).hexdigest()
+        assert (code, out, digest) == (
+            2, "", "1bf794ad5e701d9bf41571df4b357b1b91472feb38d718a606a68c507fc785aa"
         )
 
     @pytest.mark.parametrize("sizes", [["1"] * 1200, [str(10**9)] * 500], ids=["1x1200", "500x1e9"])
@@ -449,8 +467,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a suite ran before --set was checked")
 
-        for module in ("parkseq.strehl", "parkseq.cli"):
-            monkeypatch.setattr(f"{module}.verify_recurrence", refuse)
+        monkeypatch.setattr("parkseq.strehl.verify_recurrence", refuse)
         code, out, err = run_cli(capsys, "verify", suite, "--set", "")
         message = "error: the head-factor identity needs a nonempty ground set\n"
         assert (code, out, err) == (2, "", message)
@@ -473,8 +490,7 @@ class TestVerify:
             calls.append(args)
             return identity_value_sides(*args, **kwargs)
 
-        for module in ("parkseq.strehl", "parkseq.cli"):
-            monkeypatch.setattr(f"{module}.identity_value_sides", counted, raising=False)
+        monkeypatch.setattr("parkseq.strehl.identity_value_sides", counted)
         code, out, _ = run_cli(capsys, "verify", "sheffer", "--set", "1,2,3,4,5,6", "--trials", "5")
         assert code == 0
         assert out.endswith(" match=true\n")
@@ -486,7 +502,7 @@ class TestVerify:
             ([(5, 5), (2, 3), (7, 9)], "trial=2: lhs=2 rhs=3"),  # the first trial passes
             ([(7, 9), (5, 5), (2, 3)], "trial=1: lhs=7 rhs=9"),
         ):
-            monkeypatch.setattr("parkseq.cli._trial_sides", lambda *args, **kw: iter(trials))
+            monkeypatch.setattr("parkseq.strehl._trial_sides", lambda *args, **kw: iter(trials))
             code, out, _ = run_cli(capsys, "verify", "sheffer", "--set", "1,2,3,4,5,6", "--trials", "3")
             row = f"sheffer A={{1,2,3,4,5,6}} randomized trials=3 seed=42 {shown} match=false\n"
             assert (code, out) == (1, row)
@@ -504,7 +520,7 @@ class TestVerify:
             raise AssertionError("a suite ran before --set was checked")
 
         for name in ("verify_recurrence", "f_as_t_specialization"):
-            monkeypatch.setattr(f"parkseq.cli.{name}", refuse)
+            monkeypatch.setattr(f"parkseq.strehl.{name}", refuse)
         code, out, err = run_cli(capsys, *argv)
         expected = "error: index set must be strictly increasing, got (5, 1)\n"
         assert (code, out, err) == (2, "", expected)
@@ -528,7 +544,7 @@ class TestVerify:
             seen.append(capsys.readouterr().out)
             return verify_recurrence(*args)
 
-        monkeypatch.setattr(cli, "verify_recurrence", watched)
+        monkeypatch.setattr(strehl, "verify_recurrence", watched)
         argv = ("verify", "recurrence", "--n-max", "0", "--y-max", "1", "--z-max", "2")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -554,7 +570,7 @@ class TestVerify:
             raise AssertionError("a row was computed before the sweep was checked")
 
         for name in ("verify_recurrence", "identity_sides", "_trial_sides"):
-            monkeypatch.setattr(f"parkseq.cli.{name}", refuse)
+            monkeypatch.setattr(f"parkseq.strehl.{name}", refuse)
         code, out, err = run_cli(capsys, *argv)
         expected = "error: refusing to stream 2^31 decompositions (limit 2^30)\n"
         assert (code, out, err) == (2, "", expected)
@@ -579,7 +595,7 @@ class TestVerify:
         class Stop(Exception):
             pass
 
-        real, calls = getattr(cli, callee), []
+        real, calls = getattr(strehl, callee), []
 
         def once(*args, **kwargs):
             if calls:
@@ -587,7 +603,7 @@ class TestVerify:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, callee, once)
+        monkeypatch.setattr(strehl, callee, once)
         with pytest.raises(Stop):
             main(list(argv))
         out, err = capsys.readouterr()
@@ -758,13 +774,13 @@ READER_NOISE = (
     *sorted({flag for table in READER_TABLES.values() for flag in table if flag.startswith("-")}),
     "--format=json", "--enum", "--siz", "--help", "-h", "--", "--bogus", "park",
 )
-READER_INTS = ("0", "1", "2", " 3", "+2", "1_0")
+READER_INTS = ("0", "1", "2", " 3", "+2", "1_0", "-1", "-0", "-12")
 READER_CSVS = ("", "1", "1,2", "2,1")
 READER_WELL_FORMED = {
     "--format": cli.FORMATS, "--family": cli.FAMILIES, "suite": cli.SUITES,
     "--sizes": READER_CSVS, "--prefs": READER_CSVS, "--set": READER_CSVS, "--pattern": READER_CSVS,
 }
-READER_ODD = ("-", "-1", "-1,2", "x", "1,x", "", "1_0", "json", "ones", "all")
+READER_ODD = ("-", "-1", "-1,2", "-1.5", "-x", "x", "1,x", "", "1_0", "json", "ones", "all")
 READER_VALUES = (*READER_INTS, *READER_CSVS, *READER_ODD, *cli.FORMATS, *cli.FAMILIES, *cli.SUITES)
 
 
@@ -818,6 +834,25 @@ def test_the_reader_answers_as_argparse(capsys, argv):
     assert read == parsed
     args = cli._read(argv)
     if args is not None:
+        assert vars(args) == vars(_build_parser(argv).parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["verify", "all", "--random", "--seed", "-1"], True),
+        (["park", "--sizes", "-1", "--z", "-2", "--prefs", "1"], True),
+        (["verify", "all", "--seed", "-1.5"], False),
+        (["verify", "all", "--seed", "-"], False),
+        (["park", "--sizes", "-1,2", "--z", "1", "--prefs", "1,1"], False),
+    ],
+)
+def test_the_reader_takes_negative_integers_as_argparse_does(argv, read):
+    """A value of ``-`` and decimal digits is read, as argparse reads it; any
+    other value starting with ``-`` is left to argparse."""
+    args = cli._read(argv)
+    assert (args is not None) == read
+    if read:
         assert vars(args) == vars(_build_parser(argv).parse_args(argv))
 
 

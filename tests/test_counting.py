@@ -207,6 +207,20 @@ def _no_search(*args):
     raise AssertionError("the search started")
 
 
+def _per_car_bound(sizes: list[int]) -> int:
+    """The sum over cars k of min(M_k * C(L - Y_k + k, k), C(L, Y_k))."""
+    free = sum(sizes)
+    bound = 0
+    for k in range(len(sizes)):
+        before = sizes[:k]
+        orders = factorial(k)
+        for y in set(before):
+            orders //= factorial(before.count(y))
+        placed = sum(before)
+        bound += min(orders * comb(free - placed + k, k), comb(free, placed))
+    return bound
+
+
 class TestSearchStates:
     """The search keeps one answer per (car, occupancy row), and the budget
     guard bounds those states before the search starts."""
@@ -319,16 +333,22 @@ class TestSearchStates:
     def test_state_bound_is_the_smaller_count_at_each_car(self, sizes):
         """Each car adds min(M_k * C(L - Y_k + k, k), C(L, Y_k)), written out with
         ``math.comb`` whichever of the two is smaller."""
-        free = sum(sizes)
-        expected = 0
-        for k in range(len(sizes)):
-            before = sizes[:k]
-            orders = factorial(k)
-            for y in set(before):
-                orders //= factorial(before.count(y))
-            placed = sum(before)
-            expected += min(orders * comb(free - placed + k, k), comb(free, placed))
-        assert _state_bound(tuple(sizes)) == expected
+        assert _state_bound(tuple(sizes)) == _per_car_bound(sizes)
+
+    @pytest.mark.parametrize("carry", [None, 10**6, -1], ids=["default", "long", "comb"])
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 500)), max_size=30))
+    @example([1] * 100)
+    @example([2, 10**4, 1, 1, 3])
+    def test_carried_binomials_are_the_binomials_of_each_car(self, carry, sizes):
+        """The bound carries both binomials from car to car, or computes them
+        with ``comb`` while they fit a word or past ``_CARRY`` spots; with the
+        default, with every wide binomial carried and with none, it is the sum
+        written with two ``math.comb`` per car."""
+        with pytest.MonkeyPatch.context() as patch:
+            if carry is not None:
+                patch.setattr(counting, "_CARRY", carry)
+            assert _state_bound(tuple(sizes)) == _per_car_bound(sizes)
 
     @pytest.mark.parametrize(
         "sizes, states",

@@ -2,10 +2,12 @@
 that only some subcommands need, and a well-formed command line loads no
 parser.
 
-Every ``parkseq`` call pays for ``import parkseq.cli``.  ``dataclasses``
-drags in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``);
-``hashlib`` loads OpenSSL and ``json`` its encoder, though only symbolic
-digest cells and ``--format json`` use them.  A ``typing.NamedTuple`` class
+Every ``parkseq`` call pays for ``import parkseq.cli``.  The polynomial
+engine (``poly`` and ``strehl``) loads on first use, which on the command
+line is ``verify`` alone.  ``dataclasses`` drags in ``inspect`` (and with it
+``ast``, ``dis`` and ``tokenize``); ``hashlib`` loads OpenSSL and ``json``
+its encoder, though only symbolic digest cells and ``--format json`` use
+them.  A ``typing.NamedTuple`` class
 costs about twice a ``collections.namedtuple`` subclass to create, and
 ``typing.Union`` and ``typing.Optional`` build alias objects where a ``|``
 union is one builtin call.  A well-formed command line is read without
@@ -29,7 +31,8 @@ import parkseq
 from parkseq.cli import _build_parser
 
 SRC = Path(parkseq.__file__).resolve().parent.parent
-HEAVY = ("dataclasses", "inspect", "hashlib", "json")
+ENGINE = ("parkseq.poly", "parkseq.strehl")
+HEAVY = ("dataclasses", "inspect", "hashlib", "json", *ENGINE)
 PARSER = ("argparse", "gettext", "locale")
 SLOW_TYPING = {"NamedTuple", "Optional", "Union"}
 # options that count, verify or table define and park does not
@@ -40,17 +43,26 @@ NOT_PARK = {
 
 
 def test_importing_the_cli_skips_heavy_modules():
+    assert _heavy_after("parkseq.cli") == []
+
+
+def test_importing_the_package_skips_heavy_modules():
+    assert _heavy_after("parkseq") == []
+
+
+def _heavy_after(module: str) -> list[str]:
+    """The ``HEAVY`` modules loaded once a fresh interpreter imports ``module``."""
     probe = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
-        "import parkseq.cli\n"
+        f"import {module}\n"
         f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout.split()
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -106,17 +118,22 @@ def test_park_adds_only_its_own_arguments(monkeypatch, capsys):
     "argv, loaded",
     [
         (["park", "--sizes", "2,2,1", "--z", "4", "--prefs", "5,6,2"], []),
-        (["park", "-h"], ["argparse", "gettext", "locale"]),
+        (["count", "--sizes", "2,2,1", "--z", "4", "--enumerate"], []),
+        (["table", "--n-max", "3", "--z-max", "2"], []),
+        (["verify", "easy", "--n-max", "1"], [*ENGINE]),
+        (["verify", "specialization", "--n-max", "0", "--seed", "-1"], [*ENGINE]),
+        (["park", "-h"], [*PARSER]),
     ],
-    ids=["well-formed", "help"],
+    ids=["well-formed", "count", "table", "verify", "negative-seed", "help"],
 )
 def test_only_help_and_errors_load_the_parser(argv, loaded):
+    """Only ``verify`` loads the engine; only help and errors load argparse."""
     probe = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         "from parkseq.cli import main\n"
         f"code = main({argv!r})\n"
-        f"print(code, *(m for m in {PARSER!r} if m in sys.modules))\n"
+        f"print(code, *(m for m in {PARSER + ENGINE!r} if m in sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60

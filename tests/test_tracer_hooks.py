@@ -6,6 +6,8 @@ Deleting or renaming one of them breaks the benchmark at start-up, so this
 installs the tracer, checks that calls are counted, and puts everything back.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import parkseq
@@ -13,6 +15,7 @@ import parkseq.cli  # the tracer also wraps ``cli.main`` when the CLI is loaded
 from parkseq import SparsePolynomial, W, Z, poly
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(parkseq.__file__).resolve().parents[1]
 
 
 def test_tracer_installs_counts_and_uninstalls(monkeypatch):
@@ -46,3 +49,24 @@ def test_tracer_counts_the_splits_of_a_cold_side(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.counters["counting.partitions.splits"] == 4
+
+
+def test_the_tracer_sees_the_engine_that_verify_loads():
+    """In a process that imported only the CLI, installing the tracer loads
+    the engine, and ``verify`` calls the wrapped names."""
+    probe = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(SRC)!r}, {str(BENCH)!r}]\n"
+        "import parkseq.cli\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "parkseq.cli.main(['verify', 'recurrence', '--n-max', '1'])\n"
+        "tracer.uninstall()\n"
+        "print(tracer.calls['counting.recurrence'])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.splitlines()[-1]) > 0
